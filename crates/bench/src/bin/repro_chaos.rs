@@ -10,10 +10,9 @@
 //!    killed halfway, checkpointed through the on-disk store (atomic
 //!    write + FNV-64 checksum), restored into a fresh driver/solver, and
 //!    must replay **bitwise** against the uninterrupted reference.
-//! 3. **Chaos**: the plan is installed and the SCF (Site::Scf faults),
-//!    the QMD run (Site::Domain faults), and a rank/torus leg
-//!    (Site::Rank stragglers, machine faults) all execute under it;
-//!    then a real-transport leg kills a seeded victim rank mid-collective
+//! 3. **Chaos**: the plan is installed and the SCF (Site::Scf faults)
+//!    and the QMD run (Site::Domain faults) execute under it; then a
+//!    real-transport leg kills a seeded victim rank mid-collective
 //!    (allreduce, allgather, halo exchange) with the recovery supervisor
 //!    armed — every run must heal by respawn and finish bitwise-equal to
 //!    the thread reference.
@@ -39,12 +38,7 @@ use mqmd_md::builders::sic_supercell;
 use mqmd_md::io::{Checkpoint, CheckpointStore};
 use mqmd_md::thermostat::NoseHoover;
 use mqmd_md::AtomicSystem;
-use mqmd_parallel::collectives::{allreduce_time_faulty, node_loss_recompute_time};
-use mqmd_parallel::executor::run_ranks;
 use mqmd_parallel::process::{run_processes, ProcessOpts, RecoveryOpts};
-use mqmd_parallel::topology::{FaultyTorus, Torus};
-use mqmd_parallel::Comm;
-use mqmd_parallel::MachineSpec;
 use mqmd_util::constants::Element;
 use mqmd_util::faults::{self, CampaignSpec, FaultKind, FaultPlan, Site};
 use mqmd_util::{events, MqmdError, Vec3, Xoshiro256pp};
@@ -128,7 +122,6 @@ fn main() {
         rep_ref.energies.last().copied().unwrap_or(f64::NAN),
         rep_ref.wall_seconds
     );
-    let per_step_secs = rep_ref.wall_seconds / steps as f64;
 
     // ---- Leg 2: checkpoint kill-and-resume, bitwise ---------------------
     let steps_a = (steps / 2).max(1);
@@ -201,9 +194,6 @@ fn main() {
     let spec = CampaignSpec {
         domains: vec![0, 1], // tiny_ldc_config decomposes into 2 domains
         max_occurrence: 12,
-        ranks: 4,
-        nodes: 32,
-        torus_dims: 5,
     };
     let plan = FaultPlan::generate(seed, n_faults as usize, &spec);
     println!("installing plan:");
@@ -270,29 +260,7 @@ fn main() {
         Err(e) => violations.push(format!("QMD leg returned a non-convergence error: {e}")),
     }
 
-    // 3c. Rank stragglers + machine faults: the executor absorbs late
-    // ranks, and the degraded torus prices the rerouted communication.
-    let ft = FaultyTorus::adopt(Torus::new(&[4, 4, 2]));
-    let out = run_ranks(4, |rank, comm| {
-        comm.allreduce_sum(vec![rank as f64; 1024])
-            .expect("allreduce under stragglers")
-    });
-    if out.iter().any(|o| o[0] != 6.0) {
-        violations.push("allreduce under stragglers produced a wrong sum".into());
-    }
-    let mira = MachineSpec::mira();
-    let t_allreduce = allreduce_time_faulty(&mira, 8.0 * 1024.0, 4096, ft.faults());
-    let t_recompute = node_loss_recompute_time(per_step_secs, 8, ft.faults());
-    println!(
-        "chaos machine leg: {} nodes alive of {}, degraded 4096-rank allreduce {:.2e} s, \
-         node-loss recompute {:.2} s\n",
-        ft.alive_nodes(),
-        ft.base().nodes(),
-        t_allreduce,
-        t_recompute
-    );
-
-    // 3d. Real-transport rank kills mid-collective: the plane SIGKILLs a
+    // 3c. Real-transport rank kills mid-collective: the plane SIGKILLs a
     // seeded victim during each collective family; the recovery
     // supervisor must respawn it and replay to a bitwise-clean finish.
     let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x7261_6e6b_6b69_6c6c);
@@ -305,8 +273,6 @@ fn main() {
         ("count_allgather", vec![50.0, 32.0]),
         ("count_halo", vec![16.0, 40.0]),
     ];
-    // Thread references first: the thread backend polls Site::Rank too
-    // and would otherwise consume the planned kill occurrences.
     let references: Vec<Vec<Vec<f64>>> = kill_cases
         .iter()
         .map(|(program, args)| run_thread_reference(program, 4, args).expect("program registered"))

@@ -2,8 +2,8 @@
 //! per-kernel thresholds.
 //!
 //! Compares the per-call kernel means of a candidate profile against a
-//! committed baseline (both `mqmd-profile-v1` or `-v2`; v2's histogram
-//! standard errors widen the threshold on noisy kernels). Prints the
+//! committed baseline (both `mqmd-profile-v8` or its predecessor v7; the
+//! histogram standard errors widen the threshold on noisy kernels). Prints the
 //! regression table and exits non-zero when any kernel regressed, so CI
 //! can run it directly after `repro_profile`.
 //!
@@ -11,14 +11,14 @@
 //! `repro_compare baseline.json candidate.json \
 //!  [--rel-tol X] [--sigmas Y] [--min-mean Z] [--gate-allocs]`
 //!
-//! `--gate-allocs` additionally diffs the v3 steady-state SCF workspace-miss
+//! `--gate-allocs` additionally diffs the steady-state SCF workspace-miss
 //! gauges and hard-fails if the candidate's grew over the baseline's.
 //!
-//! `--gate-recovery` additionally checks the candidate's v4 recovery
-//! ledger: every injected fault must be balanced by a recorded recovery
-//! or a typed abort, and no abort may appear.
+//! `--gate-recovery` additionally checks the candidate's recovery ledger:
+//! it must balance exactly (`injected == recovered + aborted`), and no
+//! abort may appear.
 //!
-//! `--gate-roofline F` additionally checks the candidate's v5 roofline
+//! `--gate-roofline F` additionally checks the candidate's roofline
 //! block: every kernel it places must achieve at least fraction `F` of
 //! its measured roofline `min(peak_flops, intensity · peak_bw)`.
 //!

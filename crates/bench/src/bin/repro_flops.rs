@@ -13,8 +13,7 @@
 //!
 //! Usage: `cargo run --release -p mqmd-bench --bin repro_flops [--json PATH]`
 //!
-//! `--json PATH` writes the measured roofline as an `mqmd-profile-v5`
-//! document (empty kernel-timing table, populated `roofline` block) that
+//! `--json PATH` writes the measured roofline as a profile document (empty kernel-timing table, populated `roofline` block) that
 //! `repro_compare --gate-roofline` can gate on.
 
 use mqmd_bench::roofline::measure_roofline;

@@ -307,8 +307,9 @@ fn main() {
     println!("standalone Fig 5 domain solve: {t_domain:.2} s");
 
     // 3. Executed + priced communication: a binomial-tree allreduce over 8
-    //    rank threads (the global-density reduction pattern), plus the
-    //    modelled octree reduction and band↔space all-to-all.
+    //    rank threads (the global-density reduction pattern; messages and
+    //    bytes counted), plus the priced octree reduction and band↔space
+    //    all-to-all models.
     {
         let _span = trace::span("global_reduce");
         run_ranks(8, |rank, comm| {
@@ -332,7 +333,11 @@ fn main() {
 
     // 3c. Rank-recovery drill: a seeded kill healed by the supervisor,
     //     measuring detect/respawn/rejoin latency on this host (the v8
-    //     `rank_recovery` block).
+    //     `rank_recovery` block). The fault ledger is read first: the
+    //     profiled run above is fault-free, so its `recovery` block must
+    //     be all-zero, while the drill's kill and respawn (which balance
+    //     each other) are reported in `rank_recovery`.
+    let recovery = mqmd_util::metrics::recovery_block(&mqmd_util::faults::stats());
     println!("\n== rank recovery: seeded kill through the supervisor ==\n");
     let rank_recovery = rank_recovery_drill_block();
 
@@ -378,13 +383,10 @@ fn main() {
             "alloc".to_string(),
             alloc_block(&total_alloc, steady.misses),
         ),
-        // The plane stays idle here, so injected is 0 (the kill drill
-        // books its respawn as a recovery); chaos campaigns populate it
-        // and `repro_compare --gate-recovery` checks the ledger balances.
-        (
-            "recovery".to_string(),
-            mqmd_util::metrics::recovery_block(&mqmd_util::faults::stats()),
-        ),
+        // The fault-free ledger, taken before the kill drill: all-zero
+        // here, and `repro_compare --gate-recovery` checks it balances
+        // exactly.
+        ("recovery".to_string(), recovery),
         // The job counters are all-zero here (this run drives the solver
         // library directly, not the service plane); the per-lane telemetry
         // drop counts apply to every instrumented run and must stay zero.

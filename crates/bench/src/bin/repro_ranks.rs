@@ -158,9 +158,9 @@ fn main() {
         "fault ledger: injected {}, recovered {}, aborted {}",
         s.injected, s.recovered, s.aborted
     );
-    if s.injected > s.recovered + s.aborted {
+    if s.injected != s.recovered + s.aborted {
         violations.push(format!(
-            "fault ledger does not balance: {} injected > {} recovered + {} aborted",
+            "fault ledger does not balance: {} injected ≠ {} recovered + {} aborted",
             s.injected, s.recovered, s.aborted
         ));
     }
@@ -244,11 +244,17 @@ fn main() {
             "quarantine probe: run aborted instead of degrading typed: {e}"
         )),
     }
+    // Each probe kill is booked as an injection when it fires and each
+    // respawn or quarantine as a recovery, so the ledger balances exactly.
     let s = faults::stats();
-    if s.injected > s.recovered + s.aborted {
+    println!(
+        "fault ledger after recovery probes: injected {}, recovered {}, aborted {}",
+        s.injected, s.recovered, s.aborted
+    );
+    if s.injected != s.recovered + s.aborted {
         violations.push(format!(
             "fault ledger does not balance after recovery probes: \
-             {} injected > {} recovered + {} aborted",
+             {} injected ≠ {} recovered + {} aborted",
             s.injected, s.recovered, s.aborted
         ));
     }

@@ -8,7 +8,7 @@ use std::process::Command;
 fn profile_fixture(gemm_seconds: f64) -> String {
     format!(
         r#"{{
-  "schema": "mqmd-profile-v2",
+  "schema": "mqmd-profile-v8",
   "kernels": {{
     "gemm": {{
       "calls": 10, "seconds": {gemm_seconds}, "flops": 1000000,

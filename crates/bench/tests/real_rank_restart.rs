@@ -3,19 +3,45 @@
 //! same profile): a seeded kill mid-run must be healed by in-place
 //! respawn + epoch-fenced replay, bitwise-equal to a fault-free run, and
 //! a rank dying past its retry budget must land in quarantine while the
-//! survivors finish on the shrunk communicator.
+//! survivors finish on the shrunk communicator. Every drill's fault
+//! ledger must balance exactly: each kill that fires is one injection,
+//! each respawn or quarantine one recovery.
 
 use mqmd_bench::real_ranks::run_thread_reference;
 use mqmd_parallel::process::{run_processes, KillSpec, ProcessOpts, RecoveryOpts};
+use mqmd_util::faults;
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 fn worker() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_mqmd-rank"))
 }
 
+/// Serialises the drills: the fault ledger is process-global, so
+/// concurrent drills would book into each other's counters.
+fn ledger_gate() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Asserts the drill's ledger balances exactly and counts `kills`
+/// injections.
+fn assert_ledger_balances(what: &str, kills: u64) {
+    let s = faults::stats();
+    assert_eq!(s.injected, kills, "{what}: ledger {s:?}");
+    assert_eq!(
+        s.injected,
+        s.recovered + s.aborted,
+        "{what}: injected must equal recovered + aborted ({s:?})"
+    );
+    assert_eq!(s.by_kind.get("worker_kill"), Some(&kills), "{what}: {s:?}");
+}
+
 fn drill(program: &str, n: usize, args: &[f64], kill: KillSpec, rec: RecoveryOpts) {
     let reference = run_thread_reference(program, n, args).expect("program registered");
+    let _g = ledger_gate();
+    faults::reset_stats();
     let run = run_processes(
         worker(),
         program,
@@ -47,6 +73,7 @@ fn drill(program: &str, n: usize, args: &[f64], kill: KillSpec, rec: RecoveryOpt
         run.recovery.restarts as usize
     );
     assert_eq!(run.recovery.rejoin_ms.len(), run.recovery.restarts as usize);
+    assert_ledger_balances(program, u64::from(kill.repeat));
 }
 
 #[test]
@@ -106,6 +133,8 @@ fn killed_rank_mid_scf_heals_bitwise() {
 #[test]
 fn repeated_deaths_exhaust_the_budget_into_quarantine() {
     let reference = run_thread_reference("collectives_smoke", 3, &[64.0]).expect("registered");
+    let _g = ledger_gate();
+    faults::reset_stats();
     let run = run_processes(
         worker(),
         "collectives_smoke",
@@ -135,4 +164,6 @@ fn repeated_deaths_exhaust_the_budget_into_quarantine() {
     for (logical, &physical) in [0usize, 1, 3].iter().enumerate() {
         assert_eq!(run.results[physical], reference[logical]);
     }
+    // Three kills fired: two healed by respawn, the third quarantined.
+    assert_ledger_balances("quarantine", 3);
 }

@@ -2,17 +2,16 @@
 //!
 //! Historically this executor *was* the architecture; after the
 //! [`Comm`](crate::comm::Comm) refactor it is one backend of three —
-//! ranks as threads, links as channels, every message priced with the
-//! Hockney point-to-point model of a
-//! [`MachineSpec`](crate::machine::MachineSpec). The multi-process
-//! backend lives in [`crate::process`]; the cost model replays recorded
-//! traffic as the digital twin in [`crate::twin`].
+//! ranks as threads, links as channels. The multi-process backend lives
+//! in [`crate::process`]; pricing is the digital twin's job
+//! ([`crate::twin`]), which replays the recorded traffic through the
+//! cost model.
 //!
 //! Every `send_to` is metered: the executor counts messages and payload
-//! bytes, prices each message, and reports all three to both a per-run
-//! [`CommStats`] (exact, test-friendly) and the ambient
-//! [`mqmd_util::trace`] span (so profiles attribute communication to
-//! the phase that performed it). The `MPI_COMM_SPLIT` of the domain
+//! bytes and reports both to a per-run [`CommStats`] (exact,
+//! test-friendly) and to the ambient [`mqmd_util::trace`] span (so
+//! profiles attribute communication to the phase that performed it).
+//! The `MPI_COMM_SPLIT` of the domain
 //! decomposition corresponds to constructing one executor per domain
 //! group.
 //!
@@ -23,11 +22,8 @@
 //! cancel token on a short slice, so a hung peer surfaces as a typed
 //! [`CommError::PeerTimeout`] instead of a stuck thread.
 
-use crate::collectives::{p2p_time, p2p_time_faulty};
 use crate::comm::{Comm, CommError, CommResult, TrafficStats, POLL_SLICE_MS};
-use crate::machine::MachineSpec;
 use mqmd_util::cancel::{self, CancelScope, CancelToken};
-use mqmd_util::faults;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -43,13 +39,12 @@ use std::time::{Duration, Instant};
 /// executor launch with megabytes of zeroed buffer.
 pub const THREAD_INBOX_CAP: usize = 1_024;
 
-/// Message/byte/cost tally shared by every rank of one executor run.
+/// Message/byte tally shared by every rank of one executor run.
 #[derive(Debug, Default)]
 pub struct CommStats {
     msgs: AtomicU64,
     bytes: AtomicU64,
     deferred: AtomicU64,
-    cost_bits: AtomicU64, // f64 seconds, CAS-accumulated
 }
 
 impl CommStats {
@@ -68,27 +63,9 @@ impl CommStats {
         self.deferred.load(Ordering::Relaxed)
     }
 
-    /// Total modelled communication time (seconds, summed over messages).
-    pub fn modelled_seconds(&self) -> f64 {
-        f64::from_bits(self.cost_bits.load(Ordering::Relaxed))
-    }
-
-    fn record(&self, bytes: u64, cost: f64) {
+    fn record(&self, bytes: u64) {
         self.msgs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        let mut cur = self.cost_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + cost).to_bits();
-            match self.cost_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
     }
 }
 
@@ -165,14 +142,13 @@ pub struct ThreadComm {
     senders: Vec<SyncSender<(usize, Vec<f64>)>>,
     inbox: Mutex<Inbox>,
     barrier: Arc<WaitBarrier>,
-    model: Arc<MachineSpec>,
     stats: Arc<CommStats>,
     traffic: Arc<TrafficStats>,
     deadline: Option<Duration>,
 }
 
 impl ThreadComm {
-    /// The shared message/byte/modelled-cost tally for this run.
+    /// The shared message/byte tally for this run.
     pub fn stats(&self) -> &CommStats {
         &self.stats
     }
@@ -196,19 +172,11 @@ impl Comm for ThreadComm {
     /// provided collectives (the [`THREAD_INBOX_CAP`] bound is far
     /// above their per-rank queue depth); a full inbox books a
     /// deferral and waits for room rather than buffering without
-    /// limit. With a fault plan active, pricing runs on the degraded
-    /// machine: detour hops around lost nodes and the worst surviving
-    /// link bandwidth ([`p2p_time_faulty`]). Idle plane: one relaxed
-    /// load.
+    /// limit.
     fn send_to(&self, dest: usize, data: &[f64]) -> CommResult<()> {
         let bytes = std::mem::size_of_val(data) as u64;
-        let cost = if faults::active() {
-            p2p_time_faulty(&self.model, bytes as f64, 1, &faults::machine_faults())
-        } else {
-            p2p_time(&self.model, bytes as f64, 1)
-        };
-        self.stats.record(bytes, cost);
-        mqmd_util::trace::add_comm(1, bytes, cost);
+        self.stats.record(bytes);
+        mqmd_util::trace::add_comm(1, bytes, 0.0);
         let gone = |_| CommError::PeerGone {
             rank: dest,
             op: "send_to",
@@ -267,7 +235,7 @@ impl Comm for ThreadComm {
     }
 }
 
-/// Options for an executor run beyond rank count and machine model.
+/// Options for an executor run beyond the rank count.
 #[derive(Default)]
 pub struct RunOpts {
     /// Per-primitive wait budget: a `recv_from`/`barrier` that waits
@@ -280,48 +248,18 @@ pub struct RunOpts {
     pub cancel: Option<CancelToken>,
 }
 
-/// Applies any fault the active plan addresses at this rank's spawn.
-/// A straggler sleeps out its startup delay before the rank program
-/// begins — the executor's collectives then absorb the skew (every other
-/// rank waits at its first `recv`/barrier) — and the wait is booked as
-/// recovery recompute time. Fault kinds without executor semantics are
-/// absorbed outright so the campaign ledger still balances. A no-op
-/// costing one relaxed load when the plane is idle.
-fn absorb_rank_faults(rank: usize) {
-    use faults::{FaultKind, Site};
-    let site = Site::Rank(rank as u64);
-    match faults::poll(site) {
-        Some(FaultKind::Straggler { delay_us }) => {
-            std::thread::sleep(std::time::Duration::from_micros(delay_us));
-            faults::record_recovery("straggler_wait", site.describe(), 1, delay_us as f64 * 1e-6);
-        }
-        Some(_) => faults::record_recovery("rank_fault_absorbed", site.describe(), 1, 0.0),
-        None => {}
-    }
-}
-
-/// Runs `f(rank, comm)` on `n` rank threads (message costs priced for one
-/// Blue Gene/Q node card) and returns the per-rank results in rank order.
-/// Panics in any rank propagate.
+/// Runs `f(rank, comm)` on `n` rank threads and returns the per-rank
+/// results in rank order. Panics in any rank propagate.
 pub fn run_ranks<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &ThreadComm) -> T + Sync,
 {
-    run_ranks_on(n, MachineSpec::bluegene_q(1), f)
+    run_ranks_opts(n, RunOpts::default(), f)
 }
 
-/// [`run_ranks`] with an explicit machine model for message pricing.
-pub fn run_ranks_on<T, F>(n: usize, model: MachineSpec, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &ThreadComm) -> T + Sync,
-{
-    run_ranks_opts(n, model, RunOpts::default(), f)
-}
-
-/// [`run_ranks_on`] with deadline and cancellation wiring.
-pub fn run_ranks_opts<T, F>(n: usize, model: MachineSpec, opts: RunOpts, f: F) -> Vec<T>
+/// [`run_ranks`] with deadline and cancellation wiring.
+pub fn run_ranks_opts<T, F>(n: usize, opts: RunOpts, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &ThreadComm) -> T + Sync,
@@ -335,7 +273,6 @@ where
         receivers.push(rx);
     }
     let barrier = Arc::new(WaitBarrier::new(n));
-    let model = Arc::new(model);
     let stats = Arc::new(CommStats::default());
     let traffic = Arc::new(TrafficStats::default());
 
@@ -351,7 +288,6 @@ where
                 stash: HashMap::new(),
             }),
             barrier: barrier.clone(),
-            model: model.clone(),
             stats: stats.clone(),
             traffic: traffic.clone(),
             deadline: opts.deadline,
@@ -374,7 +310,6 @@ where
                     let _g = mqmd_util::trace::ContextGuard::enter(ctx);
                     let _lane = mqmd_util::events::LaneGuard::rank(rank as u32);
                     let _cancel = cancel.map(CancelScope::install);
-                    absorb_rank_faults(rank);
                     f(rank, &comm)
                 })
             })
@@ -564,7 +499,7 @@ mod tests {
             deadline: Some(Duration::from_millis(30)),
             cancel: None,
         };
-        let out = run_ranks_opts(2, MachineSpec::bluegene_q(1), opts, |rank, comm| {
+        let out = run_ranks_opts(2, opts, |rank, comm| {
             if rank == 0 {
                 // Rank 1 never sends.
                 comm.recv_from(1, "probe").err()
@@ -587,7 +522,7 @@ mod tests {
             deadline: Some(Duration::from_millis(30)),
             cancel: None,
         };
-        let out = run_ranks_opts(2, MachineSpec::bluegene_q(1), opts, |rank, comm| {
+        let out = run_ranks_opts(2, opts, |rank, comm| {
             if rank == 0 {
                 comm.barrier().err()
             } else {
@@ -617,7 +552,7 @@ mod tests {
             deadline: None,
             cancel: Some(token),
         };
-        let out = run_ranks_opts(2, MachineSpec::bluegene_q(1), opts, |rank, comm| {
+        let out = run_ranks_opts(2, opts, |rank, comm| {
             if rank == 0 {
                 comm.recv_from(1, "density_allreduce").err()
             } else {

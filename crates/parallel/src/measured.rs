@@ -30,7 +30,7 @@ pub struct MeasuredProfile {
 }
 
 impl MeasuredProfile {
-    /// Parses a `mqmd-profile-v1` document.
+    /// Parses a profile document (`mqmd-profile-v8` or v7).
     pub fn from_json(text: &str) -> Result<Self> {
         let kernels = kernel_table(text)?;
         let fig5_domain_secs = parse_json(text)?
@@ -98,7 +98,7 @@ mod tests {
     fn doc(domain_secs: f64, calls: u64) -> String {
         format!(
             r#"{{
-  "schema": "mqmd-profile-v1",
+  "schema": "mqmd-profile-v8",
   "trace": {{"name": "root", "calls": 1, "wall_secs": 1.0, "flops": 0,
              "bytes": 0, "comm_msgs": 0, "comm_bytes": 0,
              "comm_cost_secs": 0.0, "children": []}},
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn dedicated_fig5_measurement_wins_over_span_aggregate() {
         let text = r#"{
-  "schema": "mqmd-profile-v1",
+  "schema": "mqmd-profile-v8",
   "domain_solve_fig5_secs": 68.5,
   "kernels": {
     "domain_solve": {"calls": 83, "seconds": 75.0, "flops": 0, "gflops": 0}
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn missing_kernels_yield_none() {
-        let text = r#"{"schema": "mqmd-profile-v1", "kernels": {}}"#;
+        let text = r#"{"schema": "mqmd-profile-v8", "kernels": {}}"#;
         let p = MeasuredProfile::from_json(text).unwrap();
         assert!(p.domain_solve_seconds().is_none());
         assert!(p.weak_scaling_model().is_none());

@@ -42,9 +42,12 @@
 //! Fault-plane integration happens in the parent (the workers stay
 //! oblivious, as real compute ranks would be): at spawn time the parent
 //! polls [`Site::Rank`](mqmd_util::faults::Site) for each rank; a
-//! `Straggler` delays that rank's spawn and books the recovery, a
 //! `WorkerKill` arms a kill switch that SIGKILLs the victim after its
-//! first few routed frames — mid-step, not between steps.
+//! first few routed frames — mid-step, not between steps. The plane
+//! books that injection when it is polled; a kill armed explicitly
+//! through [`ProcessOpts::kill`] is booked as a `worker_kill` injection
+//! each time it fires, so every respawn or quarantine the supervisor
+//! records is balanced by exactly one injection.
 
 use crate::comm::{Comm, CommError, CommResult, OpTally, RankProgram, TrafficStats, POLL_SLICE_MS};
 use crate::wire::{read_frame, write_frame, EpochGate, Frame, FrameKind};
@@ -614,7 +617,8 @@ pub struct ProcessOpts {
     /// wedged cluster surfaces as [`CommError::PeerTimeout`], never a
     /// hung parent.
     pub deadline: Duration,
-    /// Explicit kill switch (the fault plane can also arm one).
+    /// Explicit kill switch (the fault plane can also arm one). Each
+    /// kill it fires is booked as one `worker_kill` injection.
     pub kill: Option<KillSpec>,
     /// If set, workers write `{prefix}.rank{r}.jsonl` event streams.
     pub events_prefix: Option<String>,
@@ -924,25 +928,16 @@ pub fn run_processes(
     listener.set_nonblocking(true).ok();
 
     // Fault plane: the parent is the "job scheduler" for its workers.
-    // Straggler delays a spawn (and books the recovery, as the thread
-    // backend does); WorkerKill arms the kill switch for one death.
+    // WorkerKill arms the kill switch for one death.
+    let explicit_kill = opts.kill.is_some();
     let mut kill = opts.kill;
-    let mut spawn_delays: Vec<Option<Duration>> = vec![None; n];
-    for (rank, slot) in spawn_delays.iter_mut().enumerate() {
-        let site = faults::Site::Rank(rank as u64);
-        match faults::poll(site) {
-            Some(faults::FaultKind::Straggler { delay_us }) => {
-                *slot = Some(Duration::from_micros(delay_us));
-            }
-            Some(faults::FaultKind::WorkerKill) => {
-                kill.get_or_insert(KillSpec {
-                    rank,
-                    after_data_frames: 2,
-                    repeat: 1,
-                });
-            }
-            Some(_) => faults::record_recovery("rank_fault_absorbed", site.describe(), 1, 0.0),
-            None => {}
+    for rank in 0..n {
+        if let Some(faults::FaultKind::WorkerKill) = faults::poll(faults::Site::Rank(rank as u64)) {
+            kill.get_or_insert(KillSpec {
+                rank,
+                after_data_frames: 2,
+                repeat: 1,
+            });
         }
     }
 
@@ -963,16 +958,7 @@ pub fn run_processes(
     };
 
     let mut children: Vec<Child> = Vec::with_capacity(n);
-    for (rank, delay) in spawn_delays.iter().enumerate() {
-        if let Some(delay) = *delay {
-            std::thread::sleep(delay);
-            faults::record_recovery(
-                "straggler_wait",
-                faults::Site::Rank(rank as u64).describe(),
-                1,
-                delay.as_secs_f64(),
-            );
-        }
+    for rank in 0..n {
         let child = ctx.spawn(rank, 0).map_err(|e| {
             for c in &mut children {
                 let _ = c.kill();
@@ -1182,6 +1168,13 @@ pub fn run_processes(
             }
             Some(RouterEvent::Traffic(ops)) => traffic = ops,
             Some(RouterEvent::KillNow(rank, i)) if i == inc[rank] && live[rank] => {
+                if explicit_kill {
+                    faults::record_injection(
+                        faults::FaultKind::WorkerKill,
+                        faults::Site::Rank(rank as u64),
+                        u64::from(i) + 1,
+                    );
+                }
                 let _ = children[rank].kill();
             }
             Some(RouterEvent::Failed(rank, msg)) => {

@@ -4,14 +4,6 @@
 //! nodes. The model provides minimum hop counts (per-dimension wraparound
 //! Manhattan distance), the average hop count that enters contention
 //! estimates, and a bisection-bandwidth estimate.
-//!
-//! [`FaultyTorus`] layers the fault plane's machine faults on top: lost
-//! nodes force dimension-order detours (BG/Q reroutes around a dead
-//! midplane at the cost of extra hops) and degraded dimensions stretch
-//! link bandwidth, while the work a dead node hosted is remapped to the
-//! next surviving node.
-
-use mqmd_util::faults::{self, MachineFaults};
 
 /// A d-dimensional torus.
 #[derive(Clone, Debug)]
@@ -119,129 +111,6 @@ impl Torus {
     }
 }
 
-/// A torus with machine faults applied.
-///
-/// Lost nodes stay addressable (the rank space is unchanged) but routes
-/// through them pay a two-hop sidestep, and the work they hosted is
-/// remapped onto the next surviving node via [`FaultyTorus::remap`].
-/// Degraded dimensions report a remaining bandwidth fraction that the
-/// fault-aware collective models divide into the link bandwidth.
-#[derive(Clone, Debug)]
-pub struct FaultyTorus {
-    base: Torus,
-    faults: MachineFaults,
-}
-
-impl FaultyTorus {
-    /// Applies `faults` to `base`. Lost-node indices outside the torus
-    /// are ignored (a campaign spec may be sized for a larger machine).
-    pub fn new(base: Torus, mut faults: MachineFaults) -> Self {
-        let n = base.nodes() as u32;
-        faults.lost_nodes.retain(|&node| node < n);
-        faults.lost_nodes.sort_unstable();
-        faults.lost_nodes.dedup();
-        Self { base, faults }
-    }
-
-    /// Builds from the active fault plan's machine faults, recording one
-    /// `reroute` recovery per lost node and one `link_degrade_absorbed`
-    /// per degraded dimension so the campaign ledger balances against the
-    /// injections [`faults::machine_faults`] counts. Call once per
-    /// campaign leg; a healthy plane yields a plain torus and records
-    /// nothing.
-    pub fn adopt(base: Torus) -> Self {
-        let mf = faults::machine_faults();
-        for &node in &mf.lost_nodes {
-            faults::record_recovery("reroute", format!("node {node}"), 1, 0.0);
-        }
-        for &(dim, _) in &mf.degraded_links {
-            faults::record_recovery("link_degrade_absorbed", format!("torus dim {dim}"), 1, 0.0);
-        }
-        Self::new(base, mf)
-    }
-
-    /// The underlying healthy torus.
-    pub fn base(&self) -> &Torus {
-        &self.base
-    }
-
-    /// The applied machine faults (lost nodes filtered to the torus).
-    pub fn faults(&self) -> &MachineFaults {
-        &self.faults
-    }
-
-    /// Whether `rank`'s node survived.
-    pub fn is_alive(&self, rank: usize) -> bool {
-        !self.faults.lost_nodes.contains(&(rank as u32))
-    }
-
-    /// Number of surviving nodes.
-    pub fn alive_nodes(&self) -> usize {
-        self.base.nodes() - self.faults.lost_nodes.len()
-    }
-
-    /// Remaps `rank` onto the next surviving node (scanning upward with
-    /// wraparound); alive ranks map to themselves. This is the work
-    /// redistribution a node loss forces: the dead node's domains land on
-    /// its successor.
-    pub fn remap(&self, rank: usize) -> usize {
-        assert!(self.alive_nodes() > 0, "no surviving nodes");
-        let n = self.base.nodes();
-        (0..n)
-            .map(|k| (rank + k) % n)
-            .find(|&r| self.is_alive(r))
-            .expect("a surviving node exists")
-    }
-
-    /// The dimension-order route from `a` to `b` as the full node
-    /// sequence (endpoints included): each dimension is corrected in
-    /// order, one hop at a time, taking the shorter wrap direction.
-    fn path(&self, a: usize, b: usize) -> Vec<usize> {
-        let mut cur = self.base.coords(a);
-        let target = self.base.coords(b);
-        let mut nodes = vec![a];
-        for (i, &d) in self.base.dims().iter().enumerate() {
-            while cur[i] != target[i] {
-                let fwd = (target[i] + d - cur[i]) % d;
-                cur[i] = if fwd <= d - fwd {
-                    (cur[i] + 1) % d
-                } else {
-                    (cur[i] + d - 1) % d
-                };
-                nodes.push(self.base.rank_of(&cur));
-            }
-        }
-        nodes
-    }
-
-    /// Hop count from `a` to `b` under dimension-order routing with
-    /// detours: the minimum hop distance plus a two-hop sidestep for
-    /// every lost node the straight route passes *through* (endpoints
-    /// are the caller's problem — remap work off dead nodes first).
-    pub fn hops(&self, a: usize, b: usize) -> usize {
-        let path = self.path(a, b);
-        let interior: &[usize] = if path.len() > 2 {
-            &path[1..path.len() - 1]
-        } else {
-            &[]
-        };
-        let detours = interior.iter().filter(|&&n| !self.is_alive(n)).count();
-        (path.len() - 1) + 2 * detours
-    }
-
-    /// Remaining bandwidth fraction for links along `dim`: the worst
-    /// degrade factor registered for that dimension, 1.0 when healthy.
-    pub fn bandwidth_factor(&self, dim: usize) -> f64 {
-        self.faults
-            .degraded_links
-            .iter()
-            .filter(|&&(d, _)| d as usize == dim)
-            .map(|&(_, f)| f)
-            .fold(1.0, f64::min)
-            .clamp(1e-3, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,72 +170,6 @@ mod tests {
         for rank in 0..t.nodes() {
             assert_eq!(t.rank_of(&t.coords(rank)), rank);
         }
-    }
-
-    #[test]
-    fn healthy_faulty_torus_matches_base() {
-        let ft = FaultyTorus::new(Torus::new(&[4, 4, 2]), MachineFaults::default());
-        assert_eq!(ft.alive_nodes(), 32);
-        for a in 0..32 {
-            assert!(ft.is_alive(a));
-            assert_eq!(ft.remap(a), a);
-            for b in 0..32 {
-                assert_eq!(ft.hops(a, b), ft.base().hops(a, b), "{a}->{b}");
-            }
-        }
-        assert_eq!(ft.bandwidth_factor(0), 1.0);
-    }
-
-    #[test]
-    fn lost_node_on_route_costs_a_detour() {
-        // 1-D ring of 8: the straight route 0 → 2 passes through node 1.
-        let mf = MachineFaults {
-            lost_nodes: vec![1],
-            degraded_links: Vec::new(),
-        };
-        let ft = FaultyTorus::new(Torus::new(&[8]), mf);
-        assert_eq!(ft.hops(0, 2), 2 + 2, "dead intermediate adds 2 hops");
-        // Routes not passing through node 1 are unaffected.
-        assert_eq!(ft.hops(2, 4), 2);
-        // The wraparound route 0 → 7 never touches node 1.
-        assert_eq!(ft.hops(0, 7), 1);
-    }
-
-    #[test]
-    fn remap_skips_dead_nodes_with_wraparound() {
-        let mf = MachineFaults {
-            lost_nodes: vec![3, 4, 7],
-            degraded_links: Vec::new(),
-        };
-        let ft = FaultyTorus::new(Torus::new(&[8]), mf);
-        assert_eq!(ft.alive_nodes(), 5);
-        assert_eq!(ft.remap(3), 5);
-        assert_eq!(ft.remap(4), 5);
-        assert_eq!(ft.remap(7), 0, "wraps past the end");
-        assert_eq!(ft.remap(2), 2);
-    }
-
-    #[test]
-    fn degraded_dimensions_report_worst_factor() {
-        let mf = MachineFaults {
-            lost_nodes: Vec::new(),
-            degraded_links: vec![(1, 0.5), (1, 0.25), (2, 0.9)],
-        };
-        let ft = FaultyTorus::new(Torus::new(&[4, 4, 4]), mf);
-        assert_eq!(ft.bandwidth_factor(0), 1.0);
-        assert_eq!(ft.bandwidth_factor(1), 0.25);
-        assert_eq!(ft.bandwidth_factor(2), 0.9);
-    }
-
-    #[test]
-    fn out_of_range_losses_are_ignored() {
-        let mf = MachineFaults {
-            lost_nodes: vec![2, 100, 2],
-            degraded_links: Vec::new(),
-        };
-        let ft = FaultyTorus::new(Torus::new(&[4]), mf);
-        assert_eq!(ft.faults().lost_nodes, vec![2]);
-        assert_eq!(ft.alive_nodes(), 3);
     }
 
     #[test]

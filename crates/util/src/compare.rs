@@ -12,12 +12,13 @@
 //!           + noise_sigmas · (std_err_base + std_err_cand)
 //! ```
 //!
-//! The standard errors come straight from the v2 profile schema (derived
-//! from each kernel's latency histogram); v1 profiles carry none, so for
-//! them the gate degrades gracefully to the pure relative check.
+//! The standard errors come straight from the profile (derived from each
+//! kernel's latency histogram); a kernel entry without one degrades to
+//! the pure relative check. Both readers accept `mqmd-profile-v8` and its
+//! predecessor v7 only.
 //!
-//! v3 profiles additionally carry per-phase allocation counters and a
-//! directly measured steady-state workspace-miss gauge. With
+//! Profiles also carry per-phase allocation counters and a directly
+//! measured steady-state workspace-miss gauge. With
 //! [`CompareConfig::gate_allocs`] set, the gate also diffs those: the
 //! per-kernel alloc columns are informational (allocation counts shift
 //! with thread count and SCF iteration count), but the steady-state gauge
@@ -25,14 +26,15 @@
 //! hard-fails — re-introducing even one per-iteration allocation in the
 //! SCF hot path trips the gate.
 //!
-//! v4 profiles additionally carry the fault plane's recovery counters.
-//! With [`CompareConfig::gate_recovery`] set, the gate checks the
-//! *candidate's* recovery ledger balances: every injected fault must have
-//! been recovered or cleanly aborted, and no abort may appear in a
-//! profile run at all — an abort while profiling means the pipeline
-//! silently lost work.
+//! The `recovery` block carries the fault plane's ledger. With
+//! [`CompareConfig::gate_recovery`] set, the gate checks the
+//! *candidate's* ledger balances exactly — `injected == recovered +
+//! aborted`, so a recovery with no injection behind it fails as surely as
+//! an injection nobody handled — and that no abort appears in a profile
+//! run at all: an abort while profiling means the pipeline silently lost
+//! work.
 //!
-//! v5 profiles additionally carry the measured roofline block. With
+//! The measured `roofline` block is gated too. With
 //! [`CompareConfig::gate_roofline`] set to a fraction-of-peak floor, the
 //! gate checks the *candidate's* kernel placements: every kernel in the
 //! candidate's roofline block must achieve at least that fraction of its
@@ -56,14 +58,14 @@ pub struct CompareConfig {
     /// Kernels whose baseline per-call mean is below this (seconds) are
     /// reported but never gated — they sit in timer-resolution noise.
     pub min_mean_secs: f64,
-    /// Also gate the v3 steady-state workspace-miss gauge: fail when the
+    /// Also gate the steady-state workspace-miss gauge: fail when the
     /// candidate's steady-state SCF miss count grows over the baseline's.
     pub gate_allocs: bool,
-    /// Also gate the v4 recovery counters: fail when the candidate's
-    /// ledger does not balance (injected > recovered + aborted) or any
+    /// Also gate the recovery counters: fail when the candidate's ledger
+    /// does not balance exactly (injected ≠ recovered + aborted) or any
     /// fault aborted during the profile run.
     pub gate_recovery: bool,
-    /// Fraction-of-peak floor for the v5 roofline gate: fail when any
+    /// Fraction-of-peak floor for the roofline gate: fail when any
     /// kernel in the candidate's roofline block achieves less than this
     /// fraction of its roofline, or when the candidate lacks the block
     /// while gating. `None` disables the gate.
@@ -110,9 +112,9 @@ pub struct KernelDelta {
     pub cand_mean: f64,
     /// Absolute slowdown threshold applied (seconds).
     pub threshold: f64,
-    /// Baseline heap allocations per call (0 for pre-v3 profiles).
+    /// Baseline heap allocations per call.
     pub base_allocs: f64,
-    /// Candidate heap allocations per call (0 for pre-v3 profiles).
+    /// Candidate heap allocations per call.
     pub cand_allocs: f64,
     /// Gate outcome.
     pub verdict: Verdict,
@@ -129,7 +131,7 @@ impl KernelDelta {
     }
 }
 
-/// Outcome of the v3 steady-state allocation gate.
+/// Outcome of the steady-state allocation gate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AllocGate {
     /// Baseline steady-state SCF workspace misses.
@@ -140,7 +142,7 @@ pub struct AllocGate {
     pub failed: bool,
 }
 
-/// Outcome of the v4 recovery gate (an absolute check on the candidate,
+/// Outcome of the recovery gate (an absolute check on the candidate,
 /// not a diff against the baseline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryGate {
@@ -155,7 +157,7 @@ pub struct RecoveryGate {
     pub failed: bool,
 }
 
-/// One kernel's outcome under the v5 roofline gate (an absolute check on
+/// One kernel's outcome under the roofline gate (an absolute check on
 /// the candidate, like the recovery gate).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RooflineRow {
@@ -171,7 +173,7 @@ pub struct RooflineRow {
     pub failed: bool,
 }
 
-/// Outcome of the v5 roofline gate.
+/// Outcome of the roofline gate.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RooflineGate {
     /// The fraction-of-peak floor applied.
@@ -190,7 +192,7 @@ pub struct CompareReport {
     /// One row per kernel seen in either profile, sorted by name.
     pub rows: Vec<KernelDelta>,
     /// Steady-state allocation gate, when `gate_allocs` was requested and
-    /// both profiles carry the v3 gauge.
+    /// both profiles carry the gauge.
     pub alloc_gate: Option<AllocGate>,
     /// Recovery gate, when `gate_recovery` was requested.
     pub recovery_gate: Option<RecoveryGate>,
@@ -218,7 +220,7 @@ impl CompareReport {
     }
 
     /// Renders the human-readable regression table, including the per-call
-    /// allocation diff when either profile carries v3 counters.
+    /// allocation diff when either profile carries allocation counters.
     pub fn table(&self) -> String {
         let with_allocs = self
             .rows
@@ -360,10 +362,10 @@ pub fn compare_tables(
     }
 }
 
-/// Parses two profile documents (schema v1 through v4) and compares them.
-/// With [`CompareConfig::gate_allocs`], the v3 steady-state workspace-miss
+/// Parses two profile documents (schema v7 or v8) and compares them.
+/// With [`CompareConfig::gate_allocs`], the steady-state workspace-miss
 /// gauges are also diffed; a candidate gauge above the baseline's fails the
-/// gate. A baseline without the gauge (pre-v3) skips the allocation gate; a
+/// gate. A baseline without the gauge skips the allocation gate; a
 /// candidate without it while gating is requested fails it — the candidate
 /// pipeline stopped measuring the thing being gated.
 pub fn compare_profiles(base: &str, cand: &str, cfg: &CompareConfig) -> Result<CompareReport> {
@@ -384,7 +386,7 @@ pub fn compare_profiles(base: &str, cand: &str, cfg: &CompareConfig) -> Result<C
                 injected: rc.injected,
                 recovered: rc.recovered,
                 aborted: rc.aborted,
-                failed: rc.aborted > 0 || rc.injected > rc.recovered + rc.aborted,
+                failed: rc.aborted > 0 || rc.injected != rc.recovered + rc.aborted,
             },
             // Candidate stopped emitting the block while gating: fail —
             // the pipeline stopped measuring the thing being gated.
@@ -521,7 +523,7 @@ mod tests {
         assert_eq!(report.rows[0].verdict, Verdict::Improved);
     }
 
-    fn profile_doc(schema: &str, allocs: u64, gauge: Option<u64>) -> String {
+    fn profile_doc(allocs: u64, gauge: Option<u64>) -> String {
         let alloc_block = match gauge {
             Some(g) => format!(
                 ", \"alloc\": {{\"workspace_hits\": 10, \"workspace_misses\": {allocs}, \
@@ -530,7 +532,7 @@ mod tests {
             None => String::new(),
         };
         format!(
-            "{{\"schema\": \"{schema}\", \"kernels\": {{\
+            "{{\"schema\": \"mqmd-profile-v8\", \"kernels\": {{\
              \"scf_iter\": {{\"calls\": 10, \"seconds\": 1.0, \"flops\": 100, \
              \"alloc_count\": {allocs}, \"alloc_bytes\": 0}}}}{alloc_block}}}"
         )
@@ -542,8 +544,8 @@ mod tests {
             gate_allocs: true,
             ..Default::default()
         };
-        let base = profile_doc("mqmd-profile-v3", 40, Some(0));
-        let cand = profile_doc("mqmd-profile-v3", 44, Some(0));
+        let base = profile_doc(40, Some(0));
+        let cand = profile_doc(44, Some(0));
         let report = compare_profiles(&base, &cand, &cfg).unwrap();
         let gate = report.alloc_gate.expect("gauge present in both");
         assert!(!gate.failed);
@@ -559,8 +561,8 @@ mod tests {
             gate_allocs: true,
             ..Default::default()
         };
-        let base = profile_doc("mqmd-profile-v3", 40, Some(0));
-        let cand = profile_doc("mqmd-profile-v3", 40, Some(3));
+        let base = profile_doc(40, Some(0));
+        let cand = profile_doc(40, Some(3));
         let report = compare_profiles(&base, &cand, &cfg).unwrap();
         assert!(report.alloc_gate.unwrap().failed);
         assert!(report.has_regressions(), "alloc growth fails the gate");
@@ -569,34 +571,43 @@ mod tests {
     }
 
     #[test]
-    fn alloc_gate_skips_pre_v3_baseline_but_requires_candidate_gauge() {
+    fn alloc_gate_skips_gaugeless_baseline_but_requires_candidate_gauge() {
         let cfg = CompareConfig {
             gate_allocs: true,
             ..Default::default()
         };
-        // Pre-v3 baseline: nothing to gate against.
-        let v2_base = profile_doc("mqmd-profile-v2", 0, None);
-        let cand = profile_doc("mqmd-profile-v3", 40, Some(0));
-        let report = compare_profiles(&v2_base, &cand, &cfg).unwrap();
+        // Baseline without the gauge: nothing to gate against.
+        let bare_base = profile_doc(0, None);
+        let cand = profile_doc(40, Some(0));
+        let report = compare_profiles(&bare_base, &cand, &cfg).unwrap();
         assert!(report.alloc_gate.is_none());
         assert!(!report.has_regressions());
-        // v3 baseline but candidate stopped measuring: fail.
-        let base = profile_doc("mqmd-profile-v3", 40, Some(0));
-        let v2_cand = profile_doc("mqmd-profile-v2", 0, None);
-        let report = compare_profiles(&base, &v2_cand, &cfg).unwrap();
+        // Gauged baseline but candidate stopped measuring: fail.
+        let base = profile_doc(40, Some(0));
+        let bare_cand = profile_doc(0, None);
+        let report = compare_profiles(&base, &bare_cand, &cfg).unwrap();
         assert!(report.alloc_gate.unwrap().failed);
         // And without the flag the gauges are ignored entirely.
-        let report = compare_profiles(&base, &v2_cand, &CompareConfig::default()).unwrap();
+        let report = compare_profiles(&base, &bare_cand, &CompareConfig::default()).unwrap();
         assert!(report.alloc_gate.is_none());
     }
 
     fn recovery_doc(injected: u64, recovered: u64, aborted: u64) -> String {
         format!(
-            "{{\"schema\": \"mqmd-profile-v4\", \"kernels\": {{}}, \
+            "{{\"schema\": \"mqmd-profile-v8\", \"kernels\": {{}}, \
              \"recovery\": {{\"faults_injected\": {injected}, \
              \"faults_recovered\": {recovered}, \"faults_aborted\": {aborted}, \
              \"recompute_seconds\": 0.0, \"by_kind\": {{}}, \"by_action\": {{}}}}}}"
         )
+    }
+
+    fn recovery_gate_failed(cand: &str) -> bool {
+        let cfg = CompareConfig {
+            gate_recovery: true,
+            ..Default::default()
+        };
+        let report = compare_profiles(&recovery_doc(0, 0, 0), cand, &cfg).unwrap();
+        report.recovery_gate.unwrap().failed
     }
 
     #[test]
@@ -609,17 +620,25 @@ mod tests {
         // Healthy idle run: all zeros.
         let report = compare_profiles(&base, &recovery_doc(0, 0, 0), &cfg).unwrap();
         assert!(!report.recovery_gate.unwrap().failed);
-        // Faults injected but all recovered (recoveries may also exceed
-        // injections — genuine failures recover through the same ladders).
-        let report = compare_profiles(&base, &recovery_doc(3, 5, 0), &cfg).unwrap();
-        assert!(!report.recovery_gate.unwrap().failed);
         assert!(!report.has_regressions());
         assert!(report.table().contains("recovery ledger"));
+        // Every injected fault recovered, one rung each.
+        assert!(!recovery_gate_failed(&recovery_doc(3, 3, 0)));
+    }
+
+    #[test]
+    fn recovery_gate_fails_on_over_recovery() {
+        // A recovery with no injection behind it means a fault came from
+        // outside the ledger: the gate must not wave it through.
+        assert!(recovery_gate_failed(&recovery_doc(3, 5, 0)));
+        // The shape of a profile whose kill drill booked its respawn but
+        // not its kill: 0 injected, 1 recovered.
+        assert!(recovery_gate_failed(&recovery_doc(0, 1, 0)));
     }
 
     fn roofline_doc(fraction: f64) -> String {
         format!(
-            "{{\"schema\": \"mqmd-profile-v5\", \"kernels\": {{}}, \
+            "{{\"schema\": \"mqmd-profile-v8\", \"kernels\": {{}}, \
              \"roofline\": {{\"peak_gflops\": 100.0, \"peak_bw_gbps\": 20.0, \
              \"kernels\": {{\"gemm\": {{\"achieved_gflops\": {a}, \
              \"intensity_flops_per_byte\": 10.0, \"roofline_gflops\": 100.0, \
@@ -647,11 +666,11 @@ mod tests {
         assert!(report.has_regressions());
         assert!(report.table().contains("UNDER FLOOR"));
         // A candidate without the block fails while gating...
-        let v4_cand = "{\"schema\": \"mqmd-profile-v4\", \"kernels\": {}}";
-        let report = compare_profiles(&base, v4_cand, &cfg).unwrap();
+        let bare_cand = "{\"schema\": \"mqmd-profile-v8\", \"kernels\": {}}";
+        let report = compare_profiles(&base, bare_cand, &cfg).unwrap();
         assert!(report.roofline_gate.as_ref().unwrap().failed);
         // ...and is ignored without the flag.
-        let report = compare_profiles(&base, v4_cand, &CompareConfig::default()).unwrap();
+        let report = compare_profiles(&base, bare_cand, &CompareConfig::default()).unwrap();
         assert!(report.roofline_gate.is_none());
     }
 
@@ -668,12 +687,14 @@ mod tests {
         assert!(report.has_regressions());
         assert!(report.table().contains("RECOVERY FAILED"));
         // An injected fault neither recovered nor aborted escaped.
-        let report = compare_profiles(&base, &recovery_doc(3, 2, 0), &cfg).unwrap();
-        assert!(report.recovery_gate.unwrap().failed);
-        // A candidate that stopped emitting the block fails too.
-        let v3_cand = "{\"schema\": \"mqmd-profile-v3\", \"kernels\": {}}";
-        let report = compare_profiles(&base, v3_cand, &cfg).unwrap();
-        assert!(report.recovery_gate.unwrap().failed);
+        assert!(recovery_gate_failed(&recovery_doc(3, 2, 0)));
+        // A candidate that stopped emitting the block fails too...
+        assert!(recovery_gate_failed(
+            "{\"schema\": \"mqmd-profile-v8\", \"kernels\": {}}"
+        ));
+        // ...and one whose block lost its counts is invalid input.
+        let empty = "{\"schema\": \"mqmd-profile-v8\", \"kernels\": {}, \"recovery\": {}}";
+        assert!(compare_profiles(&base, empty, &cfg).is_err());
         // Without the flag the ledger is ignored.
         let report =
             compare_profiles(&base, &recovery_doc(3, 2, 1), &CompareConfig::default()).unwrap();

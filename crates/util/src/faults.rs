@@ -2,7 +2,7 @@
 //!
 //! Production QMD runs at Blue Gene/Q scale only complete because the code
 //! survives transient failures — diverging SCF mixing, eigensolver
-//! breakdowns, node and link faults, straggler ranks. This module supplies
+//! breakdowns, killed ranks and workers. This module supplies
 //! the *injection* half of that story: a process-wide [`FaultPlan`] of
 //! planned faults, each addressed by **site + occurrence** ("the 3rd solve
 //! of domain 2", "the 7th global SCF iteration"), generated from a seeded
@@ -20,11 +20,11 @@
 //!   retry of the same site succeeds instead of looping forever.
 //!
 //! The *recovery* half lives where the failures do (`scf.rs` rescue
-//! ladder, per-domain retry in `global.rs`, rerouting in the machine
-//! model); it reports back here through [`record_recovery`] /
+//! ladder, per-domain retry in `global.rs`, rank respawn in the process
+//! supervisor); it reports back here through [`record_recovery`] /
 //! [`record_abort`] so campaigns can account injected vs recovered vs
 //! aborted faults and their recomputation cost. Those counters are
-//! exported into the `mqmd-profile-v4` recovery block.
+//! exported into the profile's `recovery` block.
 
 use crate::events::{self, Event};
 use crate::rng::Xoshiro256pp;
@@ -45,28 +45,16 @@ pub enum FaultKind {
         /// Relative amplitude of the sloshing perturbation.
         factor: f64,
     },
-    /// A node of the simulated machine is lost.
-    NodeLoss {
-        /// Flat node index in the torus.
-        node: u32,
-    },
-    /// A torus link dimension runs at degraded bandwidth.
-    DegradedLink {
-        /// Torus dimension of the degraded links.
-        dim: u32,
-        /// Remaining bandwidth fraction in `(0, 1)`.
-        factor: f64,
-    },
-    /// A rank starts late by the given delay (straggler).
+    /// A service worker picks up its job late by the given delay
+    /// (straggler). Polled at [`Site::Rank`] by the serve runtime.
     Straggler {
         /// Startup delay in microseconds.
         delay_us: u64,
     },
-    /// A service worker thread is killed mid-job (panics); the supervisor
-    /// must requeue or fail the job, never lose it. Polled at
-    /// [`Site::Rank`] by the serve runtime, not drawn by
-    /// [`FaultPlan::generate`] (library chaos campaigns have no workers to
-    /// kill).
+    /// A worker is killed mid-job: a serve worker thread panics (the
+    /// supervisor must requeue or fail the job, never lose it) and a rank
+    /// process is SIGKILLed by the process supervisor. Polled at
+    /// [`Site::Rank`], not drawn by [`FaultPlan::generate`].
     WorkerKill,
 }
 
@@ -77,27 +65,14 @@ impl FaultKind {
             FaultKind::DensityNan => "density_nan",
             FaultKind::DavidsonDiverge => "davidson_diverge",
             FaultKind::MixingKick { .. } => "mixing_kick",
-            FaultKind::NodeLoss { .. } => "node_loss",
-            FaultKind::DegradedLink { .. } => "degraded_link",
             FaultKind::Straggler { .. } => "straggler",
             FaultKind::WorkerKill => "worker_kill",
         }
     }
-
-    /// Whether the fault is a static property of the simulated machine
-    /// (queried via [`machine_faults`]) rather than an event at a polled
-    /// site.
-    pub fn is_machine(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::NodeLoss { .. } | FaultKind::DegradedLink { .. }
-        )
-    }
 }
 
-/// Where a fault strikes. Event faults fire on the `at`-th [`poll`] of
-/// their site; machine faults ([`FaultKind::is_machine`]) are static
-/// environment state returned by [`machine_faults`].
+/// Where a fault strikes: faults fire on the `at`-th [`poll`] of their
+/// site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Site {
     /// The sequential (global or conventional) SCF loop; occurrences are
@@ -106,10 +81,9 @@ pub enum Site {
     /// A per-domain Kohn–Sham solve; occurrences count that domain's
     /// solves, so the address is stable under rayon scheduling.
     Domain(u64),
-    /// An executor rank; occurrences count that rank's spawns.
+    /// A worker: a serve worker lane (occurrences count its job pickups)
+    /// or a rank process (occurrences count its spawns).
     Rank(u64),
-    /// The simulated machine (torus/links); not polled, queried.
-    Machine,
 }
 
 impl Site {
@@ -119,13 +93,12 @@ impl Site {
             Site::Scf => "scf".to_string(),
             Site::Domain(d) => format!("domain {d}"),
             Site::Rank(r) => format!("rank {r}"),
-            Site::Machine => "machine".to_string(),
         }
     }
 }
 
 /// One planned fault: `kind` strikes on the `at`-th poll of `site`
-/// (1-based). `at` is ignored for machine faults.
+/// (1-based).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Fault {
     /// What to inject.
@@ -143,15 +116,9 @@ pub struct CampaignSpec {
     /// Domain ids eligible for per-domain faults.
     pub domains: Vec<u64>,
     /// Upper bound (inclusive) on the SCF/domain occurrence index drawn
-    /// for event faults; keep within the expected total poll count so
+    /// for planned faults; keep within the expected total poll count so
     /// every planned fault actually fires.
     pub max_occurrence: u64,
-    /// Executor ranks eligible for straggler faults.
-    pub ranks: u64,
-    /// Torus node count eligible for node loss.
-    pub nodes: u64,
-    /// Torus dimensionality eligible for link degradation.
-    pub torus_dims: u32,
 }
 
 impl Default for CampaignSpec {
@@ -159,9 +126,6 @@ impl Default for CampaignSpec {
         Self {
             domains: vec![0],
             max_occurrence: 16,
-            ranks: 4,
-            nodes: 32,
-            torus_dims: 5,
         }
     }
 }
@@ -184,98 +148,30 @@ impl FaultPlan {
         self.faults.push(Fault { kind, site, at });
     }
 
-    /// Draws `n` faults from a seeded stream. Equal `(seed, n, spec)`
-    /// yields an identical plan, so campaigns replay bitwise.
+    /// Draws `n` SCF and per-domain faults from a seeded stream. Equal
+    /// `(seed, n, spec)` yields an identical plan, so campaigns replay
+    /// bitwise.
     pub fn generate(seed: u64, n: usize, spec: &CampaignSpec) -> Self {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut plan = Self::new();
         for _ in 0..n {
             let at = 1 + rng.below(spec.max_occurrence.max(1));
             let domain = spec.domains[rng.below(spec.domains.len().max(1) as u64) as usize];
-            let (kind, site, at) = match rng.below(8) {
-                0 => (FaultKind::DensityNan, Site::Scf, at),
-                1 => (FaultKind::DavidsonDiverge, Site::Scf, at),
+            let (kind, site) = match rng.below(5) {
+                0 => (FaultKind::DensityNan, Site::Scf),
+                1 => (FaultKind::DavidsonDiverge, Site::Scf),
                 2 => (
                     FaultKind::MixingKick {
                         factor: rng.uniform_in(0.5, 2.0),
                     },
                     Site::Scf,
-                    at,
                 ),
-                3 => (FaultKind::DavidsonDiverge, Site::Domain(domain), at),
-                4 => (FaultKind::DensityNan, Site::Domain(domain), at),
-                5 => (
-                    FaultKind::Straggler {
-                        delay_us: 200 + rng.below(800),
-                    },
-                    Site::Rank(rng.below(spec.ranks.max(1))),
-                    1,
-                ),
-                6 => (
-                    FaultKind::NodeLoss {
-                        node: rng.below(spec.nodes.max(1)) as u32,
-                    },
-                    Site::Machine,
-                    0,
-                ),
-                _ => (
-                    FaultKind::DegradedLink {
-                        dim: rng.below(spec.torus_dims.max(1) as u64) as u32,
-                        factor: rng.uniform_in(0.25, 0.75),
-                    },
-                    Site::Machine,
-                    0,
-                ),
+                3 => (FaultKind::DavidsonDiverge, Site::Domain(domain)),
+                _ => (FaultKind::DensityNan, Site::Domain(domain)),
             };
             plan.push(kind, site, at);
         }
         plan
-    }
-
-    /// The machine-class faults in this plan, aggregated.
-    pub fn machine_faults(&self) -> MachineFaults {
-        let mut mf = MachineFaults::default();
-        for f in &self.faults {
-            match f.kind {
-                FaultKind::NodeLoss { node } => mf.lost_nodes.push(node),
-                FaultKind::DegradedLink { dim, factor } => mf.degraded_links.push((dim, factor)),
-                _ => {}
-            }
-        }
-        mf
-    }
-}
-
-/// Aggregated static machine faults from the active plan.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MachineFaults {
-    /// Flat indices of lost torus nodes.
-    pub lost_nodes: Vec<u32>,
-    /// `(dimension, remaining bandwidth fraction)` of degraded links.
-    pub degraded_links: Vec<(u32, f64)>,
-}
-
-impl MachineFaults {
-    /// No faults at all.
-    pub fn is_healthy(&self) -> bool {
-        self.lost_nodes.is_empty() && self.degraded_links.is_empty()
-    }
-
-    /// Worst remaining bandwidth fraction across degraded links (1.0 when
-    /// healthy).
-    pub fn worst_degrade(&self) -> f64 {
-        self.degraded_links
-            .iter()
-            .map(|&(_, f)| f)
-            .fold(1.0, f64::min)
-            .clamp(1e-3, 1.0)
-    }
-
-    /// Extra hops dimension-order routing pays detouring around lost
-    /// nodes (2 per loss: one sidestep out of the straight route and one
-    /// back).
-    pub fn extra_hops(&self) -> usize {
-        2 * self.lost_nodes.len()
     }
 }
 
@@ -286,11 +182,8 @@ impl MachineFaults {
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
 struct PlanState {
-    /// Event faults with a fired flag.
+    /// Planned faults with a fired flag.
     pending: Vec<(Fault, bool)>,
-    /// Static machine faults, counted as injected on first query.
-    machine: MachineFaults,
-    machine_counted: bool,
     /// Per-site occurrence counters.
     counters: BTreeMap<Site, u64>,
 }
@@ -310,17 +203,9 @@ fn lock_plan() -> MutexGuard<'static, Option<PlanState>> {
 /// resets occurrence counters (but not the recovery statistics — call
 /// [`reset_stats`] between campaigns).
 pub fn install(p: FaultPlan) {
-    let machine = p.machine_faults();
-    let pending = p
-        .faults
-        .into_iter()
-        .filter(|f| !f.kind.is_machine())
-        .map(|f| (f, false))
-        .collect();
+    let pending = p.faults.into_iter().map(|f| (f, false)).collect();
     *lock_plan() = Some(PlanState {
         pending,
-        machine,
-        machine_counted: false,
         counters: BTreeMap::new(),
     });
     ACTIVE.store(true, Ordering::Release);
@@ -373,53 +258,8 @@ fn poll_slow(site: Site) -> Option<FaultKind> {
         }
     };
     let (kind, n) = fired?;
-    note_injected(kind);
-    events::emit(Event::FaultInjected {
-        fault: kind.label(),
-        site: site.describe(),
-        at: n,
-    });
+    record_injection(kind, site, n);
     Some(kind)
-}
-
-/// The active plan's static machine faults (healthy when the plane is
-/// idle). The first query counts each machine fault as injected.
-pub fn machine_faults() -> MachineFaults {
-    if !active() {
-        return MachineFaults::default();
-    }
-    let (mf, newly_counted) = {
-        let mut guard = lock_plan();
-        match guard.as_mut() {
-            Some(st) => {
-                let newly = !st.machine_counted && !st.machine.is_healthy();
-                st.machine_counted = true;
-                (st.machine.clone(), newly)
-            }
-            None => (MachineFaults::default(), false),
-        }
-    };
-    if newly_counted {
-        for &node in &mf.lost_nodes {
-            let kind = FaultKind::NodeLoss { node };
-            note_injected(kind);
-            events::emit(Event::FaultInjected {
-                fault: kind.label(),
-                site: Site::Machine.describe(),
-                at: 0,
-            });
-        }
-        for &(dim, factor) in &mf.degraded_links {
-            let kind = FaultKind::DegradedLink { dim, factor };
-            note_injected(kind);
-            events::emit(Event::FaultInjected {
-                fault: kind.label(),
-                site: Site::Machine.describe(),
-                at: 0,
-            });
-        }
-    }
-    mf
 }
 
 // ---------------------------------------------------------------------------
@@ -428,7 +268,7 @@ pub fn machine_faults() -> MachineFaults {
 
 /// Campaign counters: injections by class, recoveries by rung, aborts,
 /// and the wall-clock recomputation cost recovery paid. Exported into the
-/// `mqmd-profile-v4` recovery block.
+/// profile's `recovery` block.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultStats {
     /// Faults injected by the plane.
@@ -454,10 +294,21 @@ fn lock_stats() -> MutexGuard<'static, FaultStats> {
     stats_cell().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn note_injected(kind: FaultKind) {
-    let mut s = lock_stats();
-    s.injected += 1;
-    *s.by_kind.entry(kind.label().to_string()).or_insert(0) += 1;
+/// Books one injected fault and emits an [`Event::FaultInjected`].
+/// [`poll`] calls this for planned faults; a drill that injects a fault
+/// outside the plan (an explicit rank kill) calls it directly, so the
+/// ledger counts every fault that actually struck.
+pub fn record_injection(kind: FaultKind, site: Site, at: u64) {
+    {
+        let mut s = lock_stats();
+        s.injected += 1;
+        *s.by_kind.entry(kind.label().to_string()).or_insert(0) += 1;
+    }
+    events::emit(Event::FaultInjected {
+        fault: kind.label(),
+        site: site.describe(),
+        at,
+    });
 }
 
 /// Records one successful recovery rung (always counted, plan or not:
@@ -522,7 +373,6 @@ mod tests {
         clear();
         assert!(!active());
         assert_eq!(poll(Site::Scf), None);
-        assert!(machine_faults().is_healthy());
     }
 
     #[test]
@@ -552,30 +402,11 @@ mod tests {
         let c = FaultPlan::generate(43, 8, &spec);
         assert_ne!(a, c);
         assert_eq!(a.faults.len(), 8);
-    }
-
-    #[test]
-    fn machine_faults_aggregate_and_count_once() {
-        let _g = gate();
-        reset_stats();
-        let mut p = FaultPlan::new();
-        p.push(FaultKind::NodeLoss { node: 7 }, Site::Machine, 0);
-        p.push(
-            FaultKind::DegradedLink {
-                dim: 1,
-                factor: 0.5,
-            },
-            Site::Machine,
-            0,
-        );
-        install(p);
-        let mf = machine_faults();
-        assert_eq!(mf.lost_nodes, vec![7]);
-        assert_eq!(mf.worst_degrade(), 0.5);
-        assert_eq!(mf.extra_hops(), 2);
-        let _ = machine_faults(); // second query must not recount
-        assert_eq!(stats().injected, 2);
-        clear();
+        // Only the kinds a chaos leg polls: SCF and per-domain faults.
+        assert!(a
+            .faults
+            .iter()
+            .all(|f| matches!(f.site, Site::Scf | Site::Domain(_))));
     }
 
     #[test]

@@ -9,11 +9,9 @@
 //! [`kernel_table`] extracts the flattened per-kernel
 //! `(calls, seconds, flops)` aggregates back out of a parsed document.
 //!
-//! Schema (`mqmd-profile-v8`; the parser also accepts every earlier
-//! generation: `mqmd-profile-v7` lacks the rank_recovery block, `v6`
-//! additionally the twin block, `v5` the service block, `v4` the
-//! roofline block, `v3` the recovery block, `v2` the allocation
-//! fields, and `v1` additionally the latency-distribution fields):
+//! Schema (`mqmd-profile-v8`; the parser also accepts its predecessor
+//! `mqmd-profile-v7`, which lacks the `rank_recovery` block, and rejects
+//! every older generation):
 //!
 //! ```json
 //! {
@@ -40,20 +38,20 @@
 //! }
 //! ```
 //!
-//! The v2 per-kernel quantiles come from the span histograms
+//! The per-kernel quantiles come from the span histograms
 //! ([`crate::hist`]); `std_err_secs` is the standard error of one call's
 //! wall time, reconstructed from the histogram buckets — the noise floor
-//! `repro_compare` uses to separate regressions from jitter. The v3
+//! `repro_compare` uses to separate regressions from jitter. The
 //! `alloc_count`/`alloc_bytes` fields count per-phase heap allocations
 //! (workspace misses plus instrumented fresh `Vec`s) recorded via
 //! [`crate::trace::add_alloc`]; the top-level `alloc` block (written by
 //! [`alloc_block`]) summarises the [`crate::workspace`] arena traffic, and
 //! its `steady_scf_workspace_misses` gauge is what `repro_compare
-//! --gate-allocs` hard-fails on. The v4 `recovery` block (written by
+//! --gate-allocs` hard-fails on. The `recovery` block (written by
 //! [`recovery_block`] from [`crate::faults::FaultStats`]) counts fault
 //! injections, recovery-ladder rungs, aborts, and the recomputation cost
 //! recovery paid; `repro_compare --gate-recovery` fails a candidate whose
-//! injected faults were neither recovered nor cleanly aborted. The v5
+//! ledger does not balance exactly or that aborted at all. The
 //! `roofline` block (written by [`roofline_block`] from a measured
 //! [`Roofline`]) records machine peaks measured on the running host —
 //! FMA-ladder FLOP/s and streaming-triad bandwidth — plus each kernel's
@@ -443,20 +441,6 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json> {
 pub const PROFILE_SCHEMA: &str = "mqmd-profile-v8";
 /// Previous schema, still accepted (lacks the rank_recovery block).
 pub const PROFILE_SCHEMA_V7: &str = "mqmd-profile-v7";
-/// Still accepted (additionally lacks the twin-validation block).
-pub const PROFILE_SCHEMA_V6: &str = "mqmd-profile-v6";
-/// Still accepted (additionally lacks the service block).
-pub const PROFILE_SCHEMA_V5: &str = "mqmd-profile-v5";
-/// Still accepted (additionally lacks the roofline block).
-pub const PROFILE_SCHEMA_V4: &str = "mqmd-profile-v4";
-/// Still accepted (additionally lacks the recovery block).
-pub const PROFILE_SCHEMA_V3: &str = "mqmd-profile-v3";
-/// Still accepted by [`kernel_table`] (its kernel entries lack the
-/// allocation fields).
-pub const PROFILE_SCHEMA_V2: &str = "mqmd-profile-v2";
-/// Oldest accepted schema (lacks both the latency-quantile and the
-/// allocation fields).
-pub const PROFILE_SCHEMA_V1: &str = "mqmd-profile-v1";
 
 /// Renders a trace node (and recursively its children) as JSON. Nodes
 /// with a non-empty latency histogram carry their p50/p95/p99.
@@ -491,9 +475,7 @@ pub fn trace_to_json(node: &TraceNode) -> Json {
     Json::Obj(pairs)
 }
 
-/// Flattened per-kernel aggregate extracted from a profile. The quantile
-/// and noise fields are zero for `mqmd-profile-v1` documents (which did
-/// not record distributions).
+/// Flattened per-kernel aggregate extracted from a profile.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct KernelStats {
     /// Number of span entries.
@@ -510,9 +492,9 @@ pub struct KernelStats {
     pub p99_secs: f64,
     /// Standard error of one call's wall time (histogram-derived).
     pub std_err_secs: f64,
-    /// Heap allocations attributed to the kernel (0 for pre-v3 profiles).
+    /// Heap allocations attributed to the kernel.
     pub alloc_count: u64,
-    /// Bytes requested by those allocations (0 for pre-v3 profiles).
+    /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
 }
 
@@ -545,7 +527,7 @@ impl KernelStats {
     }
 }
 
-/// Builds the `mqmd-profile-v2` document for a trace snapshot.
+/// Builds the profile document for a trace snapshot.
 /// `kernel_names` selects the spans summarised in the flattened `kernels`
 /// table (aggregated across all positions in the tree); names never entered
 /// are omitted. `extra` appends caller-specific fields (e.g. config).
@@ -584,30 +566,19 @@ pub fn profile_report(
     Json::Obj(pairs)
 }
 
-/// Validates a profile document's schema tag (v1 through v8).
+/// Validates a profile document's schema tag (v7 or v8).
 fn check_schema(doc: &Json) -> Result<()> {
     match doc.get("schema").and_then(Json::as_str) {
-        Some(PROFILE_SCHEMA)
-        | Some(PROFILE_SCHEMA_V7)
-        | Some(PROFILE_SCHEMA_V6)
-        | Some(PROFILE_SCHEMA_V5)
-        | Some(PROFILE_SCHEMA_V4)
-        | Some(PROFILE_SCHEMA_V3)
-        | Some(PROFILE_SCHEMA_V2)
-        | Some(PROFILE_SCHEMA_V1) => Ok(()),
+        Some(PROFILE_SCHEMA) | Some(PROFILE_SCHEMA_V7) => Ok(()),
         other => Err(MqmdError::Parse(format!(
-            "expected schema {PROFILE_SCHEMA:?}, {PROFILE_SCHEMA_V7:?}, \
-             {PROFILE_SCHEMA_V6:?}, {PROFILE_SCHEMA_V5:?}, \
-             {PROFILE_SCHEMA_V4:?}, {PROFILE_SCHEMA_V3:?}, \
-             {PROFILE_SCHEMA_V2:?} or {PROFILE_SCHEMA_V1:?}, found {other:?}"
+            "expected schema {PROFILE_SCHEMA:?} or {PROFILE_SCHEMA_V7:?}, found {other:?}"
         ))),
     }
 }
 
-/// Parses a profile document (schema v1 through v8) and returns its
+/// Parses a profile document (schema v7 or v8) and returns its
 /// flattened kernel table. Rejects documents with a missing or unknown
-/// schema tag. Fields a document's schema generation predates (quantiles
-/// before v2, allocation counters before v3) parse as zero.
+/// schema tag. Absent per-kernel fields parse as zero.
 pub fn kernel_table(text: &str) -> Result<BTreeMap<String, KernelStats>> {
     let doc = parse_json(text)?;
     check_schema(&doc)?;
@@ -636,7 +607,7 @@ pub fn kernel_table(text: &str) -> Result<BTreeMap<String, KernelStats>> {
     Ok(out)
 }
 
-/// Builds the v3 top-level `alloc` block from the process-wide workspace
+/// Builds the top-level `alloc` block from the process-wide workspace
 /// counters plus the directly measured steady-state miss gauge (workspace
 /// misses during one post-warm-up QMD step — 0 when every hot-path borrow
 /// is a reuse).
@@ -656,7 +627,7 @@ pub fn alloc_block(
 }
 
 /// Reads the steady-state SCF workspace-miss gauge from a profile
-/// document. `Ok(None)` for pre-v3 profiles (no `alloc` block).
+/// document. `Ok(None)` when the document has no `alloc` block.
 pub fn steady_scf_misses(text: &str) -> Result<Option<u64>> {
     let doc = parse_json(text)?;
     check_schema(&doc)?;
@@ -666,7 +637,7 @@ pub fn steady_scf_misses(text: &str) -> Result<Option<u64>> {
         .and_then(Json::as_u64))
 }
 
-/// Builds the v4 top-level `recovery` block from the fault plane's
+/// Builds the top-level `recovery` block from the fault plane's
 /// campaign counters ([`crate::faults::stats`]). All-zero in a healthy
 /// run with the plane idle.
 pub fn recovery_block(stats: &crate::faults::FaultStats) -> Json {
@@ -701,19 +672,27 @@ pub struct RecoveryCounters {
     pub recompute_seconds: f64,
 }
 
-/// Reads the recovery counters from a profile document. `Ok(None)` for
-/// pre-v4 profiles (no `recovery` block).
+/// Reads the recovery counters from a profile document. `Ok(None)` when
+/// the document has no `recovery` block; a block whose
+/// `faults_injected`/`faults_recovered`/`faults_aborted` count is missing
+/// or not a whole number is a parse error, so a malformed ledger cannot
+/// pass the recovery gate as all-zero.
 pub fn recovery_counters(text: &str) -> Result<Option<RecoveryCounters>> {
     let doc = parse_json(text)?;
     check_schema(&doc)?;
     let Some(block) = doc.get("recovery") else {
         return Ok(None);
     };
-    let u = |key: &str| block.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let u = |key: &str| {
+        block
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| MqmdError::Parse(format!("recovery block missing count '{key}'")))
+    };
     Ok(Some(RecoveryCounters {
-        injected: u("faults_injected"),
-        recovered: u("faults_recovered"),
-        aborted: u("faults_aborted"),
+        injected: u("faults_injected")?,
+        recovered: u("faults_recovered")?,
+        aborted: u("faults_aborted")?,
         recompute_seconds: block
             .get("recompute_seconds")
             .and_then(Json::as_f64)
@@ -758,7 +737,7 @@ pub fn rank_recovery_block(c: &RankRecoveryCounters) -> Json {
 }
 
 /// Reads the rank-recovery counters back from a profile document.
-/// `Ok(None)` for pre-v8 profiles (no `rank_recovery` block).
+/// `Ok(None)` for v7 profiles (no `rank_recovery` block).
 pub fn rank_recovery_counters(text: &str) -> Result<Option<RankRecoveryCounters>> {
     let doc = parse_json(text)?;
     check_schema(&doc)?;
@@ -783,7 +762,7 @@ pub fn rank_recovery_counters(text: &str) -> Result<Option<RankRecoveryCounters>
 }
 
 // ---------------------------------------------------------------------------
-// Roofline (v5)
+// Roofline
 // ---------------------------------------------------------------------------
 
 /// One kernel's placement under the measured roofline.
@@ -801,7 +780,7 @@ pub struct RooflineKernel {
 }
 
 /// Machine peaks measured on the running host plus per-kernel placements —
-/// the v5 `roofline` block.
+/// the `roofline` block.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Roofline {
     /// Compute peak: FMA-ladder GFLOP/s across all cores.
@@ -838,7 +817,7 @@ impl Roofline {
     }
 }
 
-/// Builds the v5 top-level `roofline` block.
+/// Builds the top-level `roofline` block.
 pub fn roofline_block(r: &Roofline) -> Json {
     let kernels = r
         .kernels
@@ -866,7 +845,7 @@ pub fn roofline_block(r: &Roofline) -> Json {
 }
 
 /// Reads the roofline block from a profile document. `Ok(None)` for
-/// pre-v5 profiles (no `roofline` block).
+/// a document without a `roofline` block.
 pub fn roofline_summary(text: &str) -> Result<Option<Roofline>> {
     let doc = parse_json(text)?;
     check_schema(&doc)?;
@@ -896,10 +875,10 @@ pub fn roofline_summary(text: &str) -> Result<Option<Roofline>> {
 }
 
 // ---------------------------------------------------------------------------
-// Service (v6)
+// Service
 // ---------------------------------------------------------------------------
 
-/// Counters from the multi-tenant job runtime (`mqmd-serve`) — the v6
+/// Counters from the multi-tenant job runtime (`mqmd-serve`) — the
 /// `service` block. A library-only profile emits this all-zero except for
 /// the telemetry drop counters, which apply to every instrumented run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -946,7 +925,7 @@ impl ServiceCounters {
     }
 }
 
-/// Builds the v6 top-level `service` block.
+/// Builds the top-level `service` block.
 pub fn service_block(c: &ServiceCounters) -> Json {
     let drops = c
         .event_drops_by_lane
@@ -975,7 +954,7 @@ pub fn service_block(c: &ServiceCounters) -> Json {
 }
 
 /// Reads the service counters from a profile document. `Ok(None)` for
-/// pre-v6 profiles (no `service` block).
+/// a document without a `service` block.
 pub fn service_counters(text: &str) -> Result<Option<ServiceCounters>> {
     let doc = parse_json(text)?;
     check_schema(&doc)?;
@@ -1082,7 +1061,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_report_round_trips_kernels_v3() {
+    fn profile_report_round_trips_kernels() {
         let node = sample_node();
         let doc = profile_report(&node, &["gemm", "never_entered"], vec![]);
         let text = doc.pretty();
@@ -1103,28 +1082,10 @@ mod tests {
         assert!((g.p99_secs - 0.45).abs() / 0.45 < 0.0625);
         assert!(g.p50_secs <= g.p95_secs && g.p95_secs <= g.p99_secs);
         assert!(g.std_err_secs > 0.0);
-        // v3: per-kernel allocation counters round-trip
+        // per-kernel allocation counters round-trip
         assert_eq!(g.alloc_count, 12);
         assert_eq!(g.alloc_bytes, 6144);
         assert!((g.allocs_per_call() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kernel_table_accepts_v2_schema() {
-        let text = format!(
-            "{{\"schema\": \"{PROFILE_SCHEMA_V2}\", \"kernels\": {{\
-             \"fft\": {{\"calls\": 7, \"seconds\": 0.25, \"flops\": 1200,\
-             \"p50_secs\": 0.03, \"std_err_secs\": 1e-4}}}}}}"
-        );
-        let table = kernel_table(&text).unwrap();
-        let f = &table["fft"];
-        assert_eq!(f.calls, 7);
-        assert!((f.p50_secs - 0.03).abs() < 1e-12);
-        // v2 documents carry no allocation fields: they default to 0
-        assert_eq!(f.alloc_count, 0);
-        assert_eq!(f.alloc_bytes, 0);
-        // ...and no alloc block
-        assert_eq!(steady_scf_misses(&text).unwrap(), None);
     }
 
     #[test]
@@ -1145,37 +1106,6 @@ mod tests {
         let alloc = parsed.get("alloc").unwrap();
         assert_eq!(alloc.get("workspace_hits").unwrap().as_u64(), Some(100));
         assert_eq!(alloc.get("workspace_misses").unwrap().as_u64(), Some(7));
-    }
-
-    #[test]
-    fn kernel_table_accepts_v1_schema() {
-        let text = format!(
-            "{{\"schema\": \"{PROFILE_SCHEMA_V1}\", \"kernels\": {{\
-             \"fft\": {{\"calls\": 7, \"seconds\": 0.25, \"flops\": 1200}}}}}}"
-        );
-        let table = kernel_table(&text).unwrap();
-        let f = &table["fft"];
-        assert_eq!(f.calls, 7);
-        assert_eq!(f.flops, 1200);
-        assert!((f.seconds - 0.25).abs() < 1e-12);
-        // v1 documents carry no quantile or noise fields: they default to 0
-        assert_eq!(f.p50_secs, 0.0);
-        assert_eq!(f.p95_secs, 0.0);
-        assert_eq!(f.p99_secs, 0.0);
-        assert_eq!(f.std_err_secs, 0.0);
-    }
-
-    #[test]
-    fn kernel_table_accepts_v3_schema() {
-        let text = format!(
-            "{{\"schema\": \"{PROFILE_SCHEMA_V3}\", \"kernels\": {{\
-             \"fft\": {{\"calls\": 7, \"seconds\": 0.25, \"flops\": 1200,\
-             \"alloc_count\": 2, \"alloc_bytes\": 64}}}}}}"
-        );
-        let table = kernel_table(&text).unwrap();
-        assert_eq!(table["fft"].alloc_count, 2);
-        // v3 documents carry no recovery block
-        assert_eq!(recovery_counters(&text).unwrap(), None);
     }
 
     #[test]
@@ -1229,17 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_table_accepts_v4_schema_without_roofline() {
-        let text = format!(
-            "{{\"schema\": \"{PROFILE_SCHEMA_V4}\", \"kernels\": {{\
-             \"fft\": {{\"calls\": 7, \"seconds\": 0.25, \"flops\": 1200}}}}}}"
-        );
-        assert_eq!(kernel_table(&text).unwrap()["fft"].calls, 7);
-        // v4 documents carry no roofline block
-        assert_eq!(roofline_summary(&text).unwrap(), None);
-    }
-
-    #[test]
     fn service_block_round_trips() {
         let mut c = ServiceCounters {
             submitted: 12,
@@ -1270,26 +1189,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_table_accepts_v5_schema_without_service() {
-        let text = format!(
-            "{{\"schema\": \"{PROFILE_SCHEMA_V5}\", \"kernels\": {{\
-             \"fft\": {{\"calls\": 7, \"seconds\": 0.25, \"flops\": 1200}}}}}}"
-        );
-        assert_eq!(kernel_table(&text).unwrap()["fft"].calls, 7);
-        // v5 documents carry no service block
-        assert_eq!(service_counters(&text).unwrap(), None);
-    }
-
-    #[test]
-    fn kernel_table_accepts_v6_schema_without_twin() {
-        let text = format!(
-            "{{\"schema\": \"{PROFILE_SCHEMA_V6}\", \"kernels\": {{\
-             \"fft\": {{\"calls\": 7, \"seconds\": 0.25, \"flops\": 1200}}}}}}"
-        );
-        assert_eq!(kernel_table(&text).unwrap()["fft"].calls, 7);
-    }
-
-    #[test]
     fn kernel_table_accepts_v7_schema_without_rank_recovery() {
         let text = format!(
             "{{\"schema\": \"{PROFILE_SCHEMA_V7}\", \"kernels\": {{\
@@ -1317,6 +1216,38 @@ mod tests {
         ]);
         let back = rank_recovery_counters(&doc.pretty()).unwrap().unwrap();
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn retired_schema_generations_are_rejected() {
+        for old in ["mqmd-profile-v1", "mqmd-profile-v4", "mqmd-profile-v6"] {
+            let text = format!("{{\"schema\": \"{old}\", \"kernels\": {{}}}}");
+            assert!(kernel_table(&text).is_err(), "{old} must be rejected");
+        }
+    }
+
+    #[test]
+    fn recovery_block_missing_counts_is_a_parse_error() {
+        let doc = |recovery: &str| {
+            format!(
+                "{{\"schema\": \"{PROFILE_SCHEMA}\", \"kernels\": {{}}, \"recovery\": {recovery}}}"
+            )
+        };
+        assert!(recovery_counters(&doc("{}")).is_err());
+        assert!(
+            recovery_counters(&doc("{\"faults_injected\": 0, \"faults_recovered\": 0}")).is_err()
+        );
+        assert!(recovery_counters(&doc(
+            "{\"faults_injected\": 0, \"faults_recovered\": \"0\", \"faults_aborted\": 0}"
+        ))
+        .is_err());
+        let rc = recovery_counters(&doc(
+            "{\"faults_injected\": 2, \"faults_recovered\": 1, \"faults_aborted\": 1}",
+        ))
+        .unwrap()
+        .unwrap();
+        assert_eq!((rc.injected, rc.recovered, rc.aborted), (2, 1, 1));
+        assert_eq!(rc.recompute_seconds, 0.0);
     }
 
     #[test]

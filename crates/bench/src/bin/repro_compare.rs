@@ -2,7 +2,7 @@
 //! per-kernel thresholds.
 //!
 //! Compares the per-call kernel means of a candidate profile against a
-//! committed baseline (both `mqmd-profile-v8` or its predecessor v7; the
+//! committed baseline (both `mqmd-profile-v9` or its predecessor v8; the
 //! histogram standard errors widen the threshold on noisy kernels). Prints the
 //! regression table and exits non-zero when any kernel regressed, so CI
 //! can run it directly after `repro_profile`.
@@ -22,9 +22,14 @@
 //! block: every kernel it places must achieve at least fraction `F` of
 //! its measured roofline `min(peak_flops, intensity · peak_bw)`.
 //!
+//! `--gate-threads` additionally checks the candidate's `host` block:
+//! its warm `qmd_step` at the default thread count N may not be slower
+//! than at one thread by more than 5% plus `--sigmas` combined standard
+//! errors of the two means.
+//!
 //! Exit codes: 0 = no regression, 1 = regression detected (timing,
-//! allocation, recovery ledger, or roofline floor), 2 = bad arguments or
-//! unreadable/invalid profiles.
+//! allocation, recovery ledger, roofline floor, or thread scaling), 2 =
+//! bad arguments or unreadable/invalid profiles.
 
 use mqmd_util::compare::{compare_profiles, CompareConfig};
 
@@ -32,7 +37,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro_compare <baseline.json> <candidate.json> \
          [--rel-tol X] [--sigmas Y] [--min-mean Z] [--gate-allocs] [--gate-recovery] \
-         [--gate-roofline F]"
+         [--gate-roofline F] [--gate-threads]"
     );
     std::process::exit(2);
 }
@@ -59,6 +64,7 @@ fn main() {
             "--min-mean" => cfg.min_mean_secs = parse_value(&mut args, "--min-mean"),
             "--gate-allocs" => cfg.gate_allocs = true,
             "--gate-recovery" => cfg.gate_recovery = true,
+            "--gate-threads" => cfg.gate_threads = true,
             "--gate-roofline" => {
                 let floor = parse_value(&mut args, "--gate-roofline");
                 if floor > 1.0 {
@@ -118,6 +124,12 @@ fn main() {
                 "roofline gate failed: {} kernel(s) under the {:.1}%-of-peak floor",
                 g.rows.iter().filter(|r| r.failed).count(),
                 g.floor * 100.0
+            );
+        }
+        if let Some(g) = report.threads_gate.filter(|g| g.failed) {
+            println!(
+                "thread gate failed: qmd_step at {} threads {:.3} s vs {:.3} s at 1 thread",
+                g.threads, g.secs_nt, g.secs_1t
             );
         }
         std::process::exit(1);

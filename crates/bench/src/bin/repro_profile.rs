@@ -1,5 +1,5 @@
 //! Profiles a small LDC-DFT QMD run under the hierarchical tracer and
-//! writes `BENCH_profile.json` (`mqmd-profile-v8`), a Chrome-trace
+//! writes `BENCH_profile.json` (`mqmd-profile-v9`), a Chrome-trace
 //! timeline (`BENCH_trace.json`, loadable in `chrome://tracing` or
 //! Perfetto), and the structured event log (`BENCH_events.jsonl`).
 //! v7 adds the `twin` block: a real 4-process rank session's measured
@@ -9,7 +9,10 @@
 //! `repro_profile --merge-ranks <prefix> [out.json]`). v8 adds the
 //! `rank_recovery` block: a seeded kill drill through the recovery
 //! supervisor whose detect/respawn/rejoin latencies are measured on this
-//! host.
+//! host. v9 adds the `host` block: the host's CPU count, the default
+//! thread count N, and untraced warm `qmd_step` times at one thread and at
+//! N threads, interleaved step by step, which `repro_compare
+//! --gate-threads` checks (N threads must not be slower than one).
 //!
 //! The profile is the measured half of the DESIGN.md substitution: per-
 //! kernel wall-time and FLOP counts come from running this repository's
@@ -42,7 +45,7 @@ use mqmd_parallel::measured::{MeasuredProfile, PROFILE_PATH};
 use mqmd_parallel::process::{run_processes, KillSpec, ProcessOpts, RecoveryOpts};
 use mqmd_parallel::twin::{calibrate_from_pingpong, twin_block, TwinModel};
 use mqmd_parallel::{Comm, MachineSpec};
-use mqmd_util::metrics::{alloc_block, profile_report, Json};
+use mqmd_util::metrics::{alloc_block, host_block, profile_report, HostScaling, Json};
 use mqmd_util::{chrometrace, events, trace, workspace};
 use std::time::Duration;
 
@@ -226,6 +229,54 @@ fn rank_recovery_drill_block() -> Json {
     })
 }
 
+/// Warm QMD steps timed at each thread count for the `host` block.
+const HOST_WARM_STEPS: usize = 4;
+
+/// Measures the v9 `host` block: after one cold step each, alternates
+/// untraced warm `qmd_step`s of two identical runs, one bounded to a
+/// single thread and one at the default thread count N, so host drift
+/// hits both alike.
+fn host_scaling_block() -> Json {
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the rayon shim cannot fail to build a pool");
+    let threads = rayon::current_num_threads();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut runs: Vec<_> = (0..2)
+        .map(|_| {
+            let sys = sic_supercell((1, 1, 1));
+            let solver = LdcSolver::new(tiny_ldc_config());
+            let driver: QmdDriver<Berendsen> = QmdDriver::new(10.0, None);
+            (sys, solver, driver)
+        })
+        .collect();
+    let mut secs = [Vec::new(), Vec::new()];
+    for step in 0..=HOST_WARM_STEPS {
+        for (k, (sys, solver, driver)) in runs.iter_mut().enumerate() {
+            let mut run = || driver.run(sys, solver, 1).wall_seconds;
+            let t = if k == 0 { one.install(run) } else { run() };
+            if step > 0 {
+                secs[k].push(t);
+            }
+        }
+    }
+    let [step_secs_1t, step_secs_nt] = secs;
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    println!(
+        "host: {nproc} CPUs; warm qmd_step {:.3} s at 1 thread, {:.3} s at {threads} threads \
+         (means of {HOST_WARM_STEPS}, interleaved)",
+        mean(&step_secs_1t),
+        mean(&step_secs_nt),
+    );
+    host_block(&HostScaling {
+        nproc: nproc as u64,
+        threads: threads as u64,
+        step_secs_1t,
+        step_secs_nt,
+    })
+}
+
 /// The spans flattened into the profile's kernel table.
 const KERNELS: &[&str] = &[
     "qmd_step",
@@ -272,6 +323,10 @@ fn main() {
             std::process::exit(1);
         }
     }
+
+    // 0. Thread scaling on this host, untraced (the v9 `host` block).
+    println!("== repro_profile: thread scaling of an untraced QMD step ==\n");
+    let host = host_scaling_block();
 
     trace::set_enabled(true);
     trace::take(); // discard any prior counters
@@ -373,6 +428,9 @@ fn main() {
     );
     let total_alloc = workspace::global_stats().snapshot();
     let extra = vec![
+        // CPU and thread count of this host, and its measured 1-vs-N
+        // thread QMD step times.
+        ("host".to_string(), host),
         ("atoms".to_string(), Json::Num(sys.len() as f64)),
         (
             "scf_iterations".to_string(),

@@ -125,7 +125,9 @@ fn scalar_ladder() -> f64 {
 }
 
 /// Measures the machine compute peak in GFLOP/s: the FMA ladder on every
-/// rayon worker concurrently.
+/// rayon worker concurrently. Called from inside a parallel region, where
+/// `current_num_threads()` is 1 and calls run inline, it measures one
+/// thread's peak.
 pub fn measure_peak_gflops() -> f64 {
     let threads = rayon::current_num_threads().max(1);
     let (secs, reps) = time_reps(|| {

@@ -27,6 +27,12 @@ use mqmd_util::Complex64;
 use rayon::prelude::*;
 use std::cell::RefCell;
 
+/// Fewest points one thread transforms in a parallel axis sweep. A 1-D
+/// line costs a few nanoseconds per point, so small transforms (and every
+/// transform nested inside an outer parallel loop, which runs inline
+/// anyway) stay on the calling thread instead of waking pool workers.
+const MIN_POINTS_PER_PART: usize = 1 << 12;
+
 thread_local! {
     /// Per-thread gather line reused by the non-workspace entry points.
     static SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
@@ -139,48 +145,51 @@ impl Fft3d {
 
         // Axis z: contiguous lines of length nz — no gather needed.
         if nz > 1 {
-            data.par_chunks_mut(nz).for_each(|line| {
-                if fwd {
-                    self.plan_z.forward(line);
-                } else {
-                    self.plan_z.inverse(line);
-                }
-            });
+            data.par_chunks_mut(nz)
+                .with_min_len(MIN_POINTS_PER_PART.div_ceil(nz))
+                .for_each(|line| {
+                    if fwd {
+                        self.plan_z.forward(line);
+                    } else {
+                        self.plan_z.inverse(line);
+                    }
+                });
         }
 
         // Axis y: stride nz within each x-plane; parallel over x-planes,
         // one scratch acquisition per plane task.
         if ny > 1 {
-            data.par_chunks_mut(ny * nz).for_each(|plane| {
-                Self::with_scratch(ws, ny, |buf| {
-                    for iz in 0..nz {
-                        for iy in 0..ny {
-                            buf[iy] = plane[iy * nz + iz];
+            data.par_chunks_mut(ny * nz)
+                .with_min_len(MIN_POINTS_PER_PART.div_ceil(ny * nz))
+                .for_each(|plane| {
+                    Self::with_scratch(ws, ny, |buf| {
+                        for iz in 0..nz {
+                            for iy in 0..ny {
+                                buf[iy] = plane[iy * nz + iz];
+                            }
+                            if fwd {
+                                self.plan_y.forward(buf);
+                            } else {
+                                self.plan_y.inverse(buf);
+                            }
+                            for iy in 0..ny {
+                                plane[iy * nz + iz] = buf[iy];
+                            }
                         }
-                        if fwd {
-                            self.plan_y.forward(buf);
-                        } else {
-                            self.plan_y.inverse(buf);
-                        }
-                        for iy in 0..ny {
-                            plane[iy * nz + iz] = buf[iy];
-                        }
-                    }
+                    });
                 });
-            });
         }
 
         // Axis x: stride ny*nz; parallel over (iy, iz) pencils. The yz
-        // range is split into a bounded number of chunks so each task
-        // acquires scratch once, not once per pencil. We cannot hand out
-        // disjoint &mut slices along a strided axis, so gather into the
-        // scratch line and scatter through a raw pointer wrapper (each yz
-        // pencil touches a disjoint index set).
+        // range is split into chunks of at least MIN_POINTS_PER_PART points
+        // (a function of the shape alone) so each task acquires scratch
+        // once, not once per pencil. We cannot hand out disjoint &mut
+        // slices along a strided axis, so gather into the scratch line and
+        // scatter through a raw pointer wrapper (each yz pencil touches a
+        // disjoint index set).
         if nx > 1 {
             let stride = ny * nz;
-            let chunk = stride
-                .div_ceil(rayon::current_num_threads().max(1) * 8)
-                .max(1);
+            let chunk = MIN_POINTS_PER_PART.div_ceil(nx);
             let n_chunks = stride.div_ceil(chunk);
             let ptr = SendPtr(data.as_mut_ptr());
             (0..n_chunks).into_par_iter().for_each(|c| {

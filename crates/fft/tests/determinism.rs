@@ -63,7 +63,15 @@ fn fft3d_repeated_runs_are_bitwise_identical() {
 
 #[test]
 fn fft3d_is_thread_count_invariant() {
-    for (nx, ny, nz) in [(16, 16, 16), (3, 5, 7), (9, 8, 4)] {
+    // The two larger shapes clear the sweeps' per-part grain, so they are
+    // really split across threads; the small ones run on the caller.
+    for (nx, ny, nz) in [
+        (16, 16, 16),
+        (3, 5, 7),
+        (9, 8, 4),
+        (32, 32, 32),
+        (20, 18, 30),
+    ] {
         let plan = Fft3d::new(nx, ny, nz);
         let input = random_field(plan.len(), (nx + ny + nz) as u64);
         let serial = forward_with_threads(&plan, &input, Some(1));
@@ -78,7 +86,13 @@ fn fft3d_is_thread_count_invariant() {
 
 #[test]
 fn fft3d_inverse_is_thread_count_invariant() {
-    let plan = Fft3d::new(6, 15, 4);
+    for (nx, ny, nz) in [(6, 15, 4), (24, 30, 16)] {
+        inverse_is_thread_count_invariant(nx, ny, nz);
+    }
+}
+
+fn inverse_is_thread_count_invariant(nx: usize, ny: usize, nz: usize) {
+    let plan = Fft3d::new(nx, ny, nz);
     let mut freq = random_field(plan.len(), 77);
     plan.forward(&mut freq);
     let one = {
@@ -100,6 +114,30 @@ fn fft3d_inverse_is_thread_count_invariant() {
         d
     };
     assert_bits_eq(&one, &many, "inverse 1t vs 4t");
+}
+
+/// A transform called from inside an outer parallel loop runs inline on
+/// that loop's thread; it must be bitwise identical to the same transform
+/// called at top level, where its sweeps are split across the pool.
+#[test]
+fn fft3d_nested_call_matches_top_level_bitwise() {
+    use rayon::prelude::*;
+    let plan = Fft3d::new(32, 24, 20);
+    let input = random_field(plan.len(), 4242);
+    let pool = ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .expect("pool");
+    let top = pool.install(|| forward_with_threads(&plan, &input, None));
+    let nested: Vec<Vec<Complex64>> = pool.install(|| {
+        (0..4)
+            .into_par_iter()
+            .map(|_| forward_with_threads(&plan, &input, None))
+            .collect()
+    });
+    for (k, out) in nested.iter().enumerate() {
+        assert_bits_eq(&top, out, &format!("nested transform {k}"));
+    }
 }
 
 /// Regression test for the gather-scratch reuse: warm (reused) scratch

@@ -86,7 +86,15 @@ proptest! {
 /// workers the pool happens to have.
 #[test]
 fn fft3d_is_bitwise_deterministic_across_thread_counts() {
-    let plan = Fft3d::new(12, 8, 10);
+    // The larger shape clears the sweeps' per-part grain, so it is really
+    // split across threads.
+    for (nx, ny, nz) in [(12, 8, 10), (32, 32, 32)] {
+        round_trip_is_thread_count_invariant(nx, ny, nz);
+    }
+}
+
+fn round_trip_is_thread_count_invariant(nx: usize, ny: usize, nz: usize) {
+    let plan = Fft3d::new(nx, ny, nz);
     let x = random_signal(plan.len(), 42);
     let reference = {
         let mut y = x.clone();
@@ -107,7 +115,7 @@ fn fft3d_is_bitwise_deterministic_across_thread_counts() {
         });
         assert!(
             bits_eq(&got, &reference),
-            "{threads}-thread fft3d round trip diverged"
+            "{nx}x{ny}x{nz}: {threads}-thread fft3d round trip diverged"
         );
     }
 }

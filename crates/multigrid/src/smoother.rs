@@ -1,5 +1,6 @@
 //! Relaxation smoothers for the multigrid hierarchy.
 
+use crate::stencil::min_planes;
 use mqmd_grid::UniformGrid3;
 use rayon::prelude::*;
 
@@ -14,6 +15,7 @@ pub fn jacobi_sweep(grid: &UniformGrid3, u: &mut [f64], f: &[f64], omega: f64) {
 
     let u_old = u.to_vec();
     u.par_chunks_mut(ny * nz)
+        .with_min_len(min_planes(ny * nz))
         .enumerate()
         .for_each(|(ix, plane)| {
             let xm = (ix + nx - 1) % nx;
@@ -77,6 +79,7 @@ pub fn rbgs_sweep_scalar(grid: &UniformGrid3, u: &mut [f64], f: &[f64]) {
             let uptr = SendPtr(u.as_mut_ptr());
             (0..nx)
                 .into_par_iter()
+                .with_min_len(min_planes(ny * nz))
                 .filter(|ix| ix % 2 == plane_parity)
                 .for_each(|ix| {
                     let p = uptr;
@@ -137,6 +140,7 @@ pub fn rbgs_sweep_simd(grid: &UniformGrid3, u: &mut [f64], f: &[f64]) {
                 let uptr = SendPtr(u.as_mut_ptr());
                 (0..nx)
                     .into_par_iter()
+                    .with_min_len(min_planes(ny * nz))
                     .filter(|ix| ix % 2 == plane_parity)
                     .for_each(|ix| {
                         let p = uptr;

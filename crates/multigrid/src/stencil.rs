@@ -3,6 +3,18 @@
 use mqmd_grid::UniformGrid3;
 use rayon::prelude::*;
 
+/// Fewest grid points one thread takes in a parallel stencil or smoother
+/// sweep. A sweep costs a few nanoseconds per point, so a coarse level (or
+/// a small global grid) would spend longer waking pool workers than
+/// relaxing; with this grain those sweeps stay on the calling thread.
+const MIN_POINTS_PER_PART: usize = 1 << 14;
+
+/// `with_min_len` grain, in x-planes of `plane` points each, that keeps at
+/// least [`MIN_POINTS_PER_PART`] points in every part.
+pub(crate) fn min_planes(plane: usize) -> usize {
+    MIN_POINTS_PER_PART.div_ceil(plane.max(1))
+}
+
 /// Applies the second-order 7-point Laplacian with periodic boundary
 /// conditions: `out = ∇²u`.
 pub fn apply_laplacian(grid: &UniformGrid3, u: &[f64], out: &mut [f64]) {
@@ -14,6 +26,7 @@ pub fn apply_laplacian(grid: &UniformGrid3, u: &[f64], out: &mut [f64]) {
     let diag = -2.0 * (cx + cy + cz);
 
     out.par_chunks_mut(ny * nz)
+        .with_min_len(min_planes(ny * nz))
         .enumerate()
         .for_each(|(ix, plane)| {
             let xm = (ix + nx - 1) % nx;

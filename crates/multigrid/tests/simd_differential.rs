@@ -59,7 +59,15 @@ proptest! {
 /// not depend on the rayon worker count.
 #[test]
 fn rbgs_is_bitwise_deterministic_across_thread_counts() {
-    let grid = UniformGrid3::cubic(16, 8.0);
+    // The 64³ grid clears the sweep's per-part grain, so it is really
+    // split four ways; the 16³ one runs on the caller.
+    for n in [16, 64] {
+        rbgs_is_thread_count_invariant(n);
+    }
+}
+
+fn rbgs_is_thread_count_invariant(n: usize) {
+    let grid = UniformGrid3::cubic(n, 8.0);
     let f = random_field(&grid, 7);
     let reference = {
         let mut u = vec![0.0; grid.len()];
@@ -80,7 +88,7 @@ fn rbgs_is_bitwise_deterministic_across_thread_counts() {
             }
             u
         });
-        assert_bits_eq(&got, &reference, &format!("{threads}-thread sweep"));
+        assert_bits_eq(&got, &reference, &format!("{n}^3 {threads}-thread sweep"));
     }
 }
 

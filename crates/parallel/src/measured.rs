@@ -30,7 +30,7 @@ pub struct MeasuredProfile {
 }
 
 impl MeasuredProfile {
-    /// Parses a profile document (`mqmd-profile-v8` or v7).
+    /// Parses a profile document (`mqmd-profile-v9` or v8).
     pub fn from_json(text: &str) -> Result<Self> {
         let kernels = kernel_table(text)?;
         let fig5_domain_secs = parse_json(text)?

@@ -14,8 +14,8 @@
 //!
 //! The standard errors come straight from the profile (derived from each
 //! kernel's latency histogram); a kernel entry without one degrades to
-//! the pure relative check. Both readers accept `mqmd-profile-v8` and its
-//! predecessor v7 only.
+//! the pure relative check. Both readers accept `mqmd-profile-v9` and its
+//! predecessor v8 only.
 //!
 //! Profiles also carry per-phase allocation counters and a directly
 //! measured steady-state workspace-miss gauge. With
@@ -41,11 +41,24 @@
 //! roofline `min(peak_flops, intensity · peak_bw)` — a vectorized kernel
 //! quietly falling back to scalar shows up as a fraction collapse long
 //! before the noise-aware timing gate would catch it.
+//!
+//! The `host` block records warm `qmd_step` times at one thread and at the
+//! default thread count N. With [`CompareConfig::gate_threads`] set, the
+//! gate checks the *candidate's* thread scaling: N threads may not be
+//! slower than one beyond [`THREADS_REL_TOLERANCE`] plus
+//! `noise_sigmas` combined standard errors of the two means — more threads
+//! must never cost wall time.
 
 use crate::error::Result;
 use crate::metrics::{
-    kernel_table, recovery_counters, roofline_summary, steady_scf_misses, KernelStats,
+    host_scaling, kernel_table, recovery_counters, roofline_summary, steady_scf_misses, KernelStats,
 };
+use crate::stats::RunningStats;
+
+/// Relative slowdown of N threads over one thread that the thread gate
+/// forgives before its noise band: N threads must run a QMD step in at
+/// most 1.05× the one-thread time.
+pub const THREADS_REL_TOLERANCE: f64 = 0.05;
 use std::collections::BTreeMap;
 
 /// Tunable thresholds for [`compare_tables`].
@@ -70,6 +83,11 @@ pub struct CompareConfig {
     /// fraction of its roofline, or when the candidate lacks the block
     /// while gating. `None` disables the gate.
     pub gate_roofline: Option<f64>,
+    /// Also gate the candidate's thread scaling: fail when its `host`
+    /// block shows N threads slower than one thread beyond
+    /// [`THREADS_REL_TOLERANCE`] and the noise band, or when the block is
+    /// missing.
+    pub gate_threads: bool,
 }
 
 impl Default for CompareConfig {
@@ -81,6 +99,7 @@ impl Default for CompareConfig {
             gate_allocs: false,
             gate_recovery: false,
             gate_roofline: None,
+            gate_threads: false,
         }
     }
 }
@@ -186,6 +205,36 @@ pub struct RooflineGate {
     pub failed: bool,
 }
 
+/// Outcome of the thread-scaling gate (an absolute check on the
+/// candidate's `host` block).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ThreadsGate {
+    /// CPUs of the candidate's host.
+    pub nproc: u64,
+    /// The candidate's default thread count N.
+    pub threads: u64,
+    /// Mean warm QMD step seconds at one thread (0 without a block).
+    pub secs_1t: f64,
+    /// Mean warm QMD step seconds at N threads (0 without a block).
+    pub secs_nt: f64,
+    /// Slowdown of N threads over one thread the gate allows, seconds.
+    pub threshold: f64,
+    /// Whether the gate fails (N threads slower beyond the threshold, or
+    /// the candidate stopped emitting the block while gating).
+    pub failed: bool,
+}
+
+impl ThreadsGate {
+    /// One-thread over N-thread step time (0 without a block).
+    pub fn speedup(&self) -> f64 {
+        if self.secs_nt > 0.0 {
+            self.secs_1t / self.secs_nt
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Full comparison result.
 #[derive(Clone, Debug, Default)]
 pub struct CompareReport {
@@ -198,6 +247,8 @@ pub struct CompareReport {
     pub recovery_gate: Option<RecoveryGate>,
     /// Roofline gate, when `gate_roofline` was requested.
     pub roofline_gate: Option<RooflineGate>,
+    /// Thread-scaling gate, when `gate_threads` was requested.
+    pub threads_gate: Option<ThreadsGate>,
 }
 
 impl CompareReport {
@@ -210,13 +261,14 @@ impl CompareReport {
     }
 
     /// Whether the gate should fail (timing regression, steady-state
-    /// allocation growth, an unbalanced recovery ledger, or a kernel
-    /// under the roofline floor).
+    /// allocation growth, an unbalanced recovery ledger, a kernel under
+    /// the roofline floor, or N threads slower than one).
     pub fn has_regressions(&self) -> bool {
         self.regressions() > 0
             || self.alloc_gate.is_some_and(|g| g.failed)
             || self.recovery_gate.is_some_and(|g| g.failed)
             || self.roofline_gate.as_ref().is_some_and(|g| g.failed)
+            || self.threads_gate.is_some_and(|g| g.failed)
     }
 
     /// Renders the human-readable regression table, including the per-call
@@ -273,6 +325,20 @@ impl CompareReport {
                 g.recovered,
                 g.aborted,
                 if g.failed { "RECOVERY FAILED" } else { "ok" }
+            ));
+        }
+        if let Some(g) = self.threads_gate {
+            out.push_str(&format!(
+                "\nthread scaling ({} threads on {} CPUs): qmd_step {:.3} s at 1 thread, \
+                 {:.3} s at {} ({:.2}x, allowed slowdown {:.3} s)  [{}]\n",
+                g.threads,
+                g.nproc,
+                g.secs_1t,
+                g.secs_nt,
+                g.threads,
+                g.speedup(),
+                g.threshold,
+                if g.failed { "THREADS SLOWER" } else { "ok" }
             ));
         }
         if let Some(g) = &self.roofline_gate {
@@ -356,13 +422,20 @@ pub fn compare_tables(
     }
     CompareReport {
         rows,
-        alloc_gate: None,
-        recovery_gate: None,
-        roofline_gate: None,
+        ..CompareReport::default()
     }
 }
 
-/// Parses two profile documents (schema v7 or v8) and compares them.
+/// Mean and standard error of the mean of `samples`.
+fn mean_and_std_err(samples: &[f64]) -> (f64, f64) {
+    let mut s = RunningStats::new();
+    for &x in samples {
+        s.push(x);
+    }
+    (s.mean(), s.std_err())
+}
+
+/// Parses two profile documents (schema v8 or v9) and compares them.
 /// With [`CompareConfig::gate_allocs`], the steady-state workspace-miss
 /// gauges are also diffed; a candidate gauge above the baseline's fails the
 /// gate. A baseline without the gauge skips the allocation gate; a
@@ -424,6 +497,33 @@ pub fn compare_profiles(base: &str, cand: &str, cfg: &CompareConfig) -> Result<C
             None => RooflineGate {
                 floor,
                 rows: Vec::new(),
+                failed: true,
+            },
+        });
+    }
+    if cfg.gate_threads {
+        report.threads_gate = Some(match host_scaling(cand)? {
+            Some(h) => {
+                let (secs_1t, se_1t) = mean_and_std_err(&h.step_secs_1t);
+                let (secs_nt, se_nt) = mean_and_std_err(&h.step_secs_nt);
+                let threshold =
+                    THREADS_REL_TOLERANCE * secs_1t + cfg.noise_sigmas * (se_1t + se_nt);
+                ThreadsGate {
+                    nproc: h.nproc,
+                    threads: h.threads,
+                    secs_1t,
+                    secs_nt,
+                    threshold,
+                    failed: secs_nt - secs_1t > threshold,
+                }
+            }
+            // Gating a candidate that stopped measuring fails.
+            None => ThreadsGate {
+                nproc: 0,
+                threads: 0,
+                secs_1t: 0.0,
+                secs_nt: 0.0,
+                threshold: 0.0,
                 failed: true,
             },
         });
@@ -699,5 +799,77 @@ mod tests {
         let report =
             compare_profiles(&base, &recovery_doc(3, 2, 1), &CompareConfig::default()).unwrap();
         assert!(report.recovery_gate.is_none());
+    }
+
+    fn host_doc(secs_1t: &[f64], secs_nt: &[f64]) -> String {
+        let list = |v: &[f64]| {
+            v.iter()
+                .map(|x| x.to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        format!(
+            "{{\"schema\": \"mqmd-profile-v9\", \"kernels\": {{}}, \
+             \"host\": {{\"nproc\": 2, \"threads\": 2, \
+             \"qmd_step_secs_1t\": [{}], \"qmd_step_secs_nt\": [{}]}}}}",
+            list(secs_1t),
+            list(secs_nt)
+        )
+    }
+
+    fn threads_gate(cand: &str, sigmas: f64) -> ThreadsGate {
+        let cfg = CompareConfig {
+            gate_threads: true,
+            noise_sigmas: sigmas,
+            ..Default::default()
+        };
+        let base = host_doc(&[1.0], &[1.0]);
+        compare_profiles(&base, cand, &cfg)
+            .unwrap()
+            .threads_gate
+            .expect("gate requested")
+    }
+
+    #[test]
+    fn threads_gate_passes_when_threads_do_not_slow_a_step() {
+        let g = threads_gate(&host_doc(&[1.2, 1.25, 1.22], &[0.9, 0.92, 0.91]), 6.0);
+        assert!(!g.failed);
+        assert!((g.speedup() - 3.67 / 2.73).abs() < 1e-9);
+        // Parity within the 5% tolerance passes even with no noise band.
+        let g = threads_gate(&host_doc(&[1.0, 1.0], &[1.04, 1.04]), 0.0);
+        assert!(!g.failed);
+    }
+
+    #[test]
+    fn threads_gate_fails_when_threads_slow_a_step() {
+        // The per-call thread spawn pathology: 6x slower at 2 threads.
+        let g = threads_gate(&host_doc(&[0.83, 0.85, 0.84], &[5.7, 6.1, 5.9]), 6.0);
+        assert!(g.failed);
+        // A steady 10% slowdown clears the tolerance and a tight noise band.
+        let g = threads_gate(&host_doc(&[1.0, 1.0, 1.0], &[1.1, 1.1, 1.1]), 6.0);
+        assert!(g.failed);
+        // Noisy samples widen the band instead of failing on noise.
+        let g = threads_gate(&host_doc(&[1.0, 0.6, 1.4], &[1.1, 0.7, 1.5]), 3.0);
+        assert!(!g.failed);
+    }
+
+    #[test]
+    fn threads_gate_requires_the_candidate_host_block() {
+        let cfg = CompareConfig {
+            gate_threads: true,
+            ..Default::default()
+        };
+        let base = host_doc(&[1.0], &[1.0]);
+        let bare = "{\"schema\": \"mqmd-profile-v9\", \"kernels\": {}}";
+        let report = compare_profiles(&base, bare, &cfg).unwrap();
+        assert!(report.threads_gate.unwrap().failed);
+        assert!(report.has_regressions());
+        assert!(report.table().contains("THREADS SLOWER"));
+        // A malformed block is invalid input.
+        let broken = host_doc(&[1.0], &[]);
+        assert!(compare_profiles(&base, &broken, &cfg).is_err());
+        // Without the flag the block is ignored.
+        let report = compare_profiles(&base, bare, &CompareConfig::default()).unwrap();
+        assert!(report.threads_gate.is_none());
     }
 }

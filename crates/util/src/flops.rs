@@ -8,36 +8,37 @@
 //! these counts with its throughput model to produce the paper's
 //! GFLOP/s-vs-threads and %-of-peak tables.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::counter::ShardedCounter;
 
-/// A thread-safe FLOP tally.
+/// A thread-safe FLOP tally, sharded per thread so concurrent kernels do
+/// not contend on it.
 #[derive(Debug, Default)]
 pub struct FlopCounter {
-    flops: AtomicU64,
+    flops: ShardedCounter,
 }
 
 impl FlopCounter {
     /// Creates a zeroed counter.
     pub const fn new() -> Self {
         Self {
-            flops: AtomicU64::new(0),
+            flops: ShardedCounter::new(),
         }
     }
 
     /// Adds `n` floating-point operations.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.flops.fetch_add(n, Ordering::Relaxed);
+        self.flops.add(n);
     }
 
     /// Current tally.
     pub fn get(&self) -> u64 {
-        self.flops.load(Ordering::Relaxed)
+        self.flops.get()
     }
 
     /// Resets the tally to zero and returns the previous value.
     pub fn take(&self) -> u64 {
-        self.flops.swap(0, Ordering::Relaxed)
+        self.flops.take()
     }
 }
 

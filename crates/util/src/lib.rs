@@ -17,6 +17,7 @@ pub mod chrometrace;
 pub mod compare;
 pub mod complex;
 pub mod constants;
+pub mod counter;
 pub mod error;
 pub mod events;
 pub mod faults;

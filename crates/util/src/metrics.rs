@@ -9,13 +9,15 @@
 //! [`kernel_table`] extracts the flattened per-kernel
 //! `(calls, seconds, flops)` aggregates back out of a parsed document.
 //!
-//! Schema (`mqmd-profile-v8`; the parser also accepts its predecessor
-//! `mqmd-profile-v7`, which lacks the `rank_recovery` block, and rejects
-//! every older generation):
+//! Schema (`mqmd-profile-v9`; the parser also accepts its predecessor
+//! `mqmd-profile-v8`, which lacks the `host` block, and rejects every
+//! older generation):
 //!
 //! ```json
 //! {
-//!   "schema": "mqmd-profile-v8",
+//!   "schema": "mqmd-profile-v9",
+//!   "host": { "nproc": ..., "threads": ...,
+//!             "qmd_step_secs_1t": [ ... ], "qmd_step_secs_nt": [ ... ] },
 //!   "trace": { "name": "root", "calls": 1, "wall_secs": ..., "flops": ...,
 //!              "bytes": ..., "comm_msgs": ..., "comm_bytes": ...,
 //!              "comm_cost_secs": ..., "alloc_count": ..., "alloc_bytes": ...,
@@ -438,9 +440,9 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json> {
 // ---------------------------------------------------------------------------
 
 /// Current schema identifier written into profile documents.
-pub const PROFILE_SCHEMA: &str = "mqmd-profile-v8";
-/// Previous schema, still accepted (lacks the rank_recovery block).
-pub const PROFILE_SCHEMA_V7: &str = "mqmd-profile-v7";
+pub const PROFILE_SCHEMA: &str = "mqmd-profile-v9";
+/// Previous schema, still accepted (lacks the host block).
+pub const PROFILE_SCHEMA_V8: &str = "mqmd-profile-v8";
 
 /// Renders a trace node (and recursively its children) as JSON. Nodes
 /// with a non-empty latency histogram carry their p50/p95/p99.
@@ -566,17 +568,17 @@ pub fn profile_report(
     Json::Obj(pairs)
 }
 
-/// Validates a profile document's schema tag (v7 or v8).
+/// Validates a profile document's schema tag (v8 or v9).
 fn check_schema(doc: &Json) -> Result<()> {
     match doc.get("schema").and_then(Json::as_str) {
-        Some(PROFILE_SCHEMA) | Some(PROFILE_SCHEMA_V7) => Ok(()),
+        Some(PROFILE_SCHEMA) | Some(PROFILE_SCHEMA_V8) => Ok(()),
         other => Err(MqmdError::Parse(format!(
-            "expected schema {PROFILE_SCHEMA:?} or {PROFILE_SCHEMA_V7:?}, found {other:?}"
+            "expected schema {PROFILE_SCHEMA:?} or {PROFILE_SCHEMA_V8:?}, found {other:?}"
         ))),
     }
 }
 
-/// Parses a profile document (schema v7 or v8) and returns its
+/// Parses a profile document (schema v8 or v9) and returns its
 /// flattened kernel table. Rejects documents with a missing or unknown
 /// schema tag. Absent per-kernel fields parse as zero.
 pub fn kernel_table(text: &str) -> Result<BTreeMap<String, KernelStats>> {
@@ -737,7 +739,7 @@ pub fn rank_recovery_block(c: &RankRecoveryCounters) -> Json {
 }
 
 /// Reads the rank-recovery counters back from a profile document.
-/// `Ok(None)` for v7 profiles (no `rank_recovery` block).
+/// `Ok(None)` when the document has no `rank_recovery` block.
 pub fn rank_recovery_counters(text: &str) -> Result<Option<RankRecoveryCounters>> {
     let doc = parse_json(text)?;
     check_schema(&doc)?;
@@ -758,6 +760,70 @@ pub fn rank_recovery_counters(text: &str) -> Result<Option<RankRecoveryCounters>
         detect_ms: arr("detect_ms"),
         respawn_ms: arr("respawn_ms"),
         rejoin_ms: arr("rejoin_ms"),
+    }))
+}
+
+// ---------------------------------------------------------------------------
+// Host thread scaling (v9)
+// ---------------------------------------------------------------------------
+
+/// The host a profile ran on and its measured thread scaling — the v9
+/// top-level `host` block: warm `qmd_step` wall times at one thread and at
+/// the default thread count, taken interleaved on the same host.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct HostScaling {
+    /// CPUs the process may run on.
+    pub nproc: u64,
+    /// The default rayon thread count (N).
+    pub threads: u64,
+    /// Warm QMD step seconds at one thread.
+    pub step_secs_1t: Vec<f64>,
+    /// Warm QMD step seconds at N threads.
+    pub step_secs_nt: Vec<f64>,
+}
+
+/// Builds the v9 top-level `host` block.
+pub fn host_block(h: &HostScaling) -> Json {
+    let arr = |v: &[f64]| Json::Arr(v.iter().map(|x| Json::Num(*x)).collect());
+    Json::obj([
+        ("nproc", Json::Num(h.nproc as f64)),
+        ("threads", Json::Num(h.threads as f64)),
+        ("qmd_step_secs_1t", arr(&h.step_secs_1t)),
+        ("qmd_step_secs_nt", arr(&h.step_secs_nt)),
+    ])
+}
+
+/// Reads the host block back from a profile document: `Ok(None)` when
+/// the document has none (v8), a parse error when a count is missing or
+/// either timing list is empty or holds a non-positive or non-number
+/// entry.
+pub fn host_scaling(text: &str) -> Result<Option<HostScaling>> {
+    let doc = parse_json(text)?;
+    check_schema(&doc)?;
+    let Some(block) = doc.get("host") else {
+        return Ok(None);
+    };
+    let count = |key: &str| {
+        block
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| MqmdError::Parse(format!("host block needs a whole-number {key:?}")))
+    };
+    let secs = |key: &str| -> Result<Vec<f64>> {
+        let items = block.get(key).and_then(Json::as_arr).unwrap_or(&[]);
+        let v: Vec<f64> = items.iter().filter_map(Json::as_f64).collect();
+        if v.is_empty() || v.len() != items.len() || !v.iter().all(|&x| x > 0.0) {
+            return Err(MqmdError::Parse(format!(
+                "host block needs a non-empty list of positive seconds in {key:?}"
+            )));
+        }
+        Ok(v)
+    };
+    Ok(Some(HostScaling {
+        nproc: count("nproc")?,
+        threads: count("threads")?,
+        step_secs_1t: secs("qmd_step_secs_1t")?,
+        step_secs_nt: secs("qmd_step_secs_nt")?,
     }))
 }
 
@@ -1189,14 +1255,46 @@ mod tests {
     }
 
     #[test]
-    fn kernel_table_accepts_v7_schema_without_rank_recovery() {
+    fn kernel_table_accepts_v8_schema_without_host() {
         let text = format!(
-            "{{\"schema\": \"{PROFILE_SCHEMA_V7}\", \"kernels\": {{\
+            "{{\"schema\": \"{PROFILE_SCHEMA_V8}\", \"kernels\": {{\
              \"fft\": {{\"calls\": 7, \"seconds\": 0.25, \"flops\": 1200}}}}}}"
         );
         assert_eq!(kernel_table(&text).unwrap()["fft"].calls, 7);
-        // v7 documents carry no rank_recovery block
-        assert_eq!(rank_recovery_counters(&text).unwrap(), None);
+        // v8 documents carry no host block
+        assert_eq!(host_scaling(&text).unwrap(), None);
+    }
+
+    #[test]
+    fn host_block_round_trips_and_rejects_malformed_timings() {
+        let h = HostScaling {
+            nproc: 2,
+            threads: 2,
+            step_secs_1t: vec![1.25, 1.5],
+            step_secs_nt: vec![0.75, 0.8],
+        };
+        let doc = |host: Json| {
+            Json::obj([
+                ("schema", Json::Str(PROFILE_SCHEMA.into())),
+                ("kernels", Json::Obj(vec![])),
+                ("host", host),
+            ])
+            .pretty()
+        };
+        assert_eq!(host_scaling(&doc(host_block(&h))).unwrap(), Some(h.clone()));
+        for bad in [
+            HostScaling {
+                step_secs_nt: vec![],
+                ..h.clone()
+            },
+            HostScaling {
+                step_secs_1t: vec![1.0, 0.0],
+                ..h.clone()
+            },
+        ] {
+            assert!(host_scaling(&doc(host_block(&bad))).is_err());
+        }
+        assert!(host_scaling(&doc(Json::obj([("threads", Json::Num(2.0))]))).is_err());
     }
 
     #[test]
@@ -1220,7 +1318,12 @@ mod tests {
 
     #[test]
     fn retired_schema_generations_are_rejected() {
-        for old in ["mqmd-profile-v1", "mqmd-profile-v4", "mqmd-profile-v6"] {
+        for old in [
+            "mqmd-profile-v1",
+            "mqmd-profile-v4",
+            "mqmd-profile-v6",
+            "mqmd-profile-v7",
+        ] {
             let text = format!("{{\"schema\": \"{old}\", \"kernels\": {{}}}}");
             assert!(kernel_table(&text).is_err(), "{old} must be rejected");
         }

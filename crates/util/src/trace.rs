@@ -22,7 +22,10 @@
 //!   [`ContextGuard::enter`], so counters recorded inside parallel kernels
 //!   attribute to the span open at the call site. Counters live in
 //!   `Arc`-shared atomics, so attribution is lock-free and safe under
-//!   concurrency.
+//!   concurrency; FLOPs are batched per thread and added when the thread's
+//!   current span changes. Each thread memoises the nodes it has opened or
+//!   entered, so only a span's first entry per thread (and per [`take`])
+//!   locks the registry.
 //! * **Inclusive counters.** A node's totals include its children (wall
 //!   time of a merged node is the sum of its guards' durations). Exclusive
 //!   ("self") values are derived in [`TraceNode::self_wall_secs`].
@@ -38,7 +41,8 @@
 //! Chrome-trace exporter reconstructs a per-lane timeline.
 
 use crate::hist::{AtomicHist, HistSnapshot};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -137,6 +141,10 @@ impl Registry {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
+/// Bumped by [`take`] (under the registry lock) each time it replaces the
+/// tree, so per-thread memos of node ids know when they went stale.
+static GENERATION: AtomicU64 = AtomicU64::new(0);
+
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Registry::fresh()))
@@ -146,8 +154,63 @@ fn registry() -> &'static Mutex<Registry> {
 /// = root (no span, empty name).
 type Cur = (usize, Option<Arc<SpanCounters>>, &'static str);
 
+/// A node's id and shared counters, as [`span`] needs them.
+type NodeRef = (usize, Arc<SpanCounters>, Arc<AtomicHist>);
+
+/// Per-thread cache of registry lookups, so re-entering a known span (tens
+/// of thousands of `fft` spans per traced step, from every worker) takes no
+/// lock. Valid for one registry generation.
+#[derive(Default)]
+struct Memo {
+    generation: u64,
+    /// `(parent, name)` → the child node [`Registry::child`] returned.
+    children: HashMap<(usize, &'static str), NodeRef>,
+    /// Node id → (counters, name), for [`ContextGuard::enter`].
+    nodes: HashMap<usize, (Arc<SpanCounters>, &'static str)>,
+}
+
+impl Memo {
+    /// Empties the memo if [`take`] replaced the tree since it was filled.
+    fn current(&mut self) -> &mut Self {
+        let generation = GENERATION.load(Ordering::Acquire);
+        if self.generation != generation {
+            self.children.clear();
+            self.nodes.clear();
+            self.generation = generation;
+        }
+        self
+    }
+}
+
 thread_local! {
     static CURRENT: RefCell<Cur> = const { RefCell::new((0, None, "")) };
+    /// FLOPs recorded on this thread for its current span and not yet added
+    /// to the span's shared counter. Kernels report FLOPs per 1-D FFT line
+    /// or GEMM block, thousands of times per span; adding each report to an
+    /// atomic every worker shares would bounce its cache line between cores.
+    static PENDING_FLOPS: Cell<u64> = const { Cell::new(0) };
+    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
+}
+
+/// Makes `next` this thread's current span and returns the previous one,
+/// first adding the FLOPs batched for the previous span to its counters.
+fn set_current(next: Cur) -> Cur {
+    let pending = PENDING_FLOPS.with(|p| p.replace(0));
+    CURRENT.with(|c| {
+        let prev = c.replace(next);
+        if let (_, Some(counters), _) = &prev {
+            if pending > 0 {
+                counters.flops.fetch_add(pending, Ordering::Relaxed);
+            }
+        }
+        prev
+    })
+}
+
+/// Adds the FLOPs batched on this thread to its current span's counters.
+fn flush_pending_flops() {
+    let cur = CURRENT.with(|c| c.borrow().clone());
+    set_current(cur);
 }
 
 /// Globally enables or disables tracing. Spans opened while disabled are
@@ -171,17 +234,24 @@ pub fn span(name: &'static str) -> SpanGuard {
         return SpanGuard { state: None };
     }
     let parent = CURRENT.with(|c| c.borrow().0);
-    let (id, counters, hist) = {
-        let mut reg = registry().lock().expect("trace registry poisoned");
-        let id = reg.child(parent, name);
-        (
-            id,
-            reg.nodes[id].counters.clone(),
-            reg.nodes[id].hist.clone(),
-        )
-    };
+    let (id, counters, hist) = MEMO.with(|m| {
+        m.borrow_mut()
+            .current()
+            .children
+            .entry((parent, name))
+            .or_insert_with(|| {
+                let mut reg = registry().lock().expect("trace registry poisoned");
+                let id = reg.child(parent, name);
+                (
+                    id,
+                    reg.nodes[id].counters.clone(),
+                    reg.nodes[id].hist.clone(),
+                )
+            })
+            .clone()
+    });
     counters.calls.fetch_add(1, Ordering::Relaxed);
-    let prev = CURRENT.with(|c| c.replace((id, Some(counters.clone()), name)));
+    let prev = set_current((id, Some(counters.clone()), name));
     crate::events::emit(crate::events::Event::SpanBegin { name });
     SpanGuard {
         state: Some(OpenSpan {
@@ -214,7 +284,7 @@ impl Drop for SpanGuard {
             open.counters.wall_ns.fetch_add(ns, Ordering::Relaxed);
             open.hist.record(ns);
             crate::events::emit(crate::events::Event::SpanEnd { name: open.name });
-            CURRENT.with(|c| *c.borrow_mut() = open.prev);
+            set_current(open.prev);
         }
     }
 }
@@ -250,14 +320,21 @@ impl ContextGuard {
         if !enabled() || ctx == 0 {
             return Self { prev: None };
         }
-        let named = {
+        let named = MEMO.with(|m| {
+            let mut m = m.borrow_mut();
+            let nodes = &mut m.current().nodes;
+            if let Some(hit) = nodes.get(&ctx) {
+                return Some(hit.clone());
+            }
             let reg = registry().lock().expect("trace registry poisoned");
-            reg.nodes.get(ctx).map(|n| (n.counters.clone(), n.name))
-        };
+            let named = reg.nodes.get(ctx).map(|n| (n.counters.clone(), n.name))?;
+            nodes.insert(ctx, named.clone());
+            Some(named)
+        });
         let Some((counters, name)) = named else {
             return Self { prev: None };
         };
-        let prev = CURRENT.with(|c| c.replace((ctx, Some(counters), name)));
+        let prev = set_current((ctx, Some(counters), name));
         Self { prev: Some(prev) }
     }
 }
@@ -265,7 +342,7 @@ impl ContextGuard {
 impl Drop for ContextGuard {
     fn drop(&mut self) {
         if let Some(prev) = self.prev.take() {
-            CURRENT.with(|c| *c.borrow_mut() = prev);
+            set_current(prev);
         }
     }
 }
@@ -287,9 +364,9 @@ fn with_current(f: impl FnOnce(&SpanCounters)) {
 /// this directly.
 #[inline]
 pub fn add_flops(n: u64) {
-    with_current(|c| {
-        c.flops.fetch_add(n, Ordering::Relaxed);
-    });
+    if enabled() {
+        PENDING_FLOPS.with(|p| p.set(p.get() + n));
+    }
 }
 
 /// Attributes `n` bytes of reported data movement to the innermost span.
@@ -451,8 +528,11 @@ fn snapshot_node(reg: &Registry, id: usize) -> TraceNode {
     }
 }
 
-/// Snapshots the current span tree without resetting it.
+/// Snapshots the current span tree without resetting it. FLOPs other
+/// threads recorded for spans they still have open arrive when those spans
+/// close.
 pub fn snapshot() -> TraceNode {
+    flush_pending_flops();
     let reg = registry().lock().expect("trace registry poisoned");
     snapshot_node(&reg, 0)
 }
@@ -461,11 +541,13 @@ pub fn snapshot() -> TraceNode {
 /// keep accumulating into their (now-detached) counters and are dropped
 /// harmlessly; call this between, not inside, traced regions.
 pub fn take() -> TraceNode {
+    flush_pending_flops();
     let mut reg = registry().lock().expect("trace registry poisoned");
     let snap = snapshot_node(&reg, 0);
     *reg = Registry::fresh();
+    GENERATION.fetch_add(1, Ordering::Release);
     drop(reg);
-    CURRENT.with(|c| *c.borrow_mut() = (0, None, ""));
+    set_current((0, None, ""));
     snap
 }
 
@@ -638,6 +720,52 @@ mod tests {
         assert_eq!(current_span_name(), "");
         set_enabled(false);
         let _ = take();
+    }
+
+    #[test]
+    fn memoised_spans_follow_take_into_the_fresh_tree() {
+        let _g = lock();
+        set_enabled(true);
+        let _ = take();
+        {
+            let _s = span("kernel");
+            add_flops(1);
+        }
+        let first = take();
+        {
+            let _s = span("kernel");
+            add_flops(2);
+        }
+        let ctx = {
+            let _s = span("region");
+            current_ctx()
+        };
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _c = ContextGuard::enter(ctx);
+                add_flops(3);
+            })
+            .join()
+        });
+        let second = take();
+        {
+            let _c = ContextGuard::enter(ctx);
+            add_flops(100);
+        }
+        set_enabled(false);
+        let third = take();
+        assert_eq!(first.find("kernel").unwrap().flops, 1);
+        let k = second.find("kernel").unwrap();
+        assert_eq!(
+            (k.calls, k.flops),
+            (1, 2),
+            "memo must not reuse a taken node"
+        );
+        assert_eq!(second.find("region").unwrap().flops, 3);
+        assert!(
+            third.children.is_empty(),
+            "a context from a taken tree does not resolve in the fresh one"
+        );
     }
 
     #[test]

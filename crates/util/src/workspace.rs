@@ -29,6 +29,7 @@
 //! already live.
 
 use crate::complex::Complex64;
+use crate::counter::ShardedCounter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -103,12 +104,42 @@ impl AllocStats {
     }
 }
 
-static GLOBAL: AllocStats = AllocStats::new();
+/// The process-wide ledger: [`AllocStats`] with the hit count sharded per
+/// thread, since every borrow on every thread bumps it.
+#[derive(Debug)]
+pub struct GlobalAllocStats {
+    hits: ShardedCounter,
+    /// Misses and miss bytes (its own hit count stays zero).
+    misses: AllocStats,
+}
+
+impl GlobalAllocStats {
+    fn record_hit(&self) {
+        self.hits.add(1);
+    }
+
+    fn record_miss(&self, bytes: u64) {
+        self.misses.record_miss(bytes);
+    }
+
+    /// Reads the counters.
+    pub fn snapshot(&self) -> AllocSnapshot {
+        AllocSnapshot {
+            hits: self.hits.get(),
+            ..self.misses.snapshot()
+        }
+    }
+}
+
+static GLOBAL: GlobalAllocStats = GlobalAllocStats {
+    hits: ShardedCounter::new(),
+    misses: AllocStats::new(),
+};
 
 /// Process-wide hit/miss accounting shared by every [`Workspace`] and by
 /// plan-shaped buffers (e.g. the eigensolver's `EigWorkspace`). The
 /// steady-state zero-miss acceptance test reads this.
-pub fn global_stats() -> &'static AllocStats {
+pub fn global_stats() -> &'static GlobalAllocStats {
     &GLOBAL
 }
 

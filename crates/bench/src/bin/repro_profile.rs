@@ -284,6 +284,7 @@ const KERNELS: &[&str] = &[
     "domain_solve",
     "hamiltonian",
     "gemm",
+    "zheev",
     "orthonorm",
     "fft",
     "poisson",

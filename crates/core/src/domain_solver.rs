@@ -9,12 +9,11 @@
 //! global grid, and the lowest bands are found with the preconditioned
 //! block-Davidson solver of `mqmd-dft`.
 
-use mqmd_dft::eigensolver::{block_davidson_with, EigWorkspace};
+use mqmd_dft::eigensolver::{block_davidson_with, rayleigh_ritz, EigWorkspace};
 use mqmd_dft::hamiltonian::{build_projectors, KsHamiltonian, Nonlocal};
 use mqmd_dft::pw::PlaneWaveBasis;
 use mqmd_dft::species::Pseudopotential;
 use mqmd_grid::{Domain, DomainDecomposition, UniformGrid3};
-use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a_into};
 use mqmd_linalg::CMatrix;
 use mqmd_md::AtomicSystem;
 use mqmd_util::{events, faults, MqmdError, Result, Vec3};
@@ -238,7 +237,6 @@ pub fn solve_domain_with(
     }
     let h = KsHamiltonian::new(&setup.basis, v_eff, setup.nonlocal.as_ref());
     let np = setup.basis.len();
-    let nb = setup.n_bands;
     let report = match block_davidson_with(&h, &mut psi, max_iter, tol, ew) {
         Ok(r) => r,
         Err(mqmd_util::MqmdError::Convergence {
@@ -259,30 +257,13 @@ pub fn solve_domain_with(
                 value: residual,
                 bound: tol,
             });
-            let mut h_psi = CMatrix::from_vec(np, nb, ew.ws.take_c64(np * nb));
-            h.apply_into(&psi, &mut h_psi, &ew.ws);
-            let mut hs = CMatrix::from_vec(nb, nb, ew.ws.take_c64(nb * nb));
-            zgemm_dagger_a_into(&psi, &h_psi, &mut hs, &ew.ws);
-            let eig = mqmd_linalg::eigen::zheev(&hs);
-            ew.ws.give_c64(hs.into_data());
-            ew.ws.give_c64(h_psi.into_data());
-            let (vals, v) = match eig {
+            let vals = match rayleigh_ritz(&h, &mut psi, &ew.ws) {
                 Ok(x) => x,
                 Err(e) => {
                     ew.ws.give_f64(h.v_local);
                     return Err(e);
                 }
             };
-            let mut rot = CMatrix::from_vec(np, nb, ew.ws.take_c64(np * nb));
-            zgemm(
-                mqmd_util::Complex64::ONE,
-                &psi,
-                &v,
-                mqmd_util::Complex64::ZERO,
-                &mut rot,
-            );
-            psi.data_mut().copy_from_slice(rot.data());
-            ew.ws.give_c64(rot.into_data());
             mqmd_dft::eigensolver::EigenReport {
                 eigenvalues: vals,
                 iterations,

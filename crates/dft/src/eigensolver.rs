@@ -12,7 +12,7 @@
 //! standard choice for plane-wave CG (paper refs [2, 47]).
 
 use crate::hamiltonian::KsHamiltonian;
-use mqmd_linalg::eigen::zheev;
+use mqmd_linalg::eigen::{zheev, zheev_lowest};
 use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a_into};
 use mqmd_linalg::orthonorm::{cholesky_orthonormalize_with, mgs_orthonormalize};
 use mqmd_linalg::CMatrix;
@@ -51,7 +51,6 @@ pub struct EigWorkspace {
     res: CMatrix,
     aug: CMatrix,
     h_aug: CMatrix,
-    v_keep: CMatrix,
 }
 
 impl Default for EigWorkspace {
@@ -71,7 +70,6 @@ impl EigWorkspace {
             res: CMatrix::zeros(0, 0),
             aug: CMatrix::zeros(0, 0),
             h_aug: CMatrix::zeros(0, 0),
-            v_keep: CMatrix::zeros(0, 0),
         }
     }
 
@@ -84,7 +82,6 @@ impl EigWorkspace {
         Self::ensure_mat(&mut self.res, np, nb);
         Self::ensure_mat(&mut self.aug, np, 2 * nb);
         Self::ensure_mat(&mut self.h_aug, np, 2 * nb);
-        Self::ensure_mat(&mut self.v_keep, 2 * nb, nb);
     }
 
     fn ensure_mat(m: &mut CMatrix, rows: usize, cols: usize) {
@@ -198,19 +195,14 @@ pub fn block_davidson_with(
         h.apply_into(&ew.aug, &mut ew.h_aug, &ew.ws);
         let mut hs2 = CMatrix::from_vec(2 * nb, 2 * nb, ew.ws.take_c64(4 * nb * nb));
         zgemm_dagger_a_into(&ew.aug, &ew.h_aug, &mut hs2, &ew.ws);
-        let eig2 = zheev(&hs2);
+        // Keep the lowest nb Ritz vectors.
+        let eig2 = zheev_lowest(&hs2, nb);
         ew.ws.give_c64(hs2.into_data());
         let (_, v2) = eig2?;
-        // Keep the lowest nb Ritz vectors.
-        for i in 0..2 * nb {
-            for n in 0..nb {
-                ew.v_keep[(i, n)] = v2[(i, n)];
-            }
-        }
         zgemm(
             Complex64::ONE,
             &ew.aug,
-            &ew.v_keep,
+            &v2,
             Complex64::ZERO,
             &mut ew.psi_rot,
         );
@@ -222,6 +214,28 @@ pub fn block_davidson_with(
         iterations: max_iter,
         residual: last_res,
     })
+}
+
+/// One Rayleigh–Ritz step on the current block: applies `h`, diagonalises
+/// `Ψ†·H·Ψ`, rotates `psi` onto the Ritz vectors and returns the Ritz values
+/// (ascending). The Davidson-failure paths of the SCF loop and the domain
+/// solver use it to recover Ritz values from partially converged bands;
+/// every buffer is borrowed from `ws` and returned, also on error.
+pub fn rayleigh_ritz(h: &KsHamiltonian, psi: &mut CMatrix, ws: &Workspace) -> Result<Vec<f64>> {
+    let (np, nb) = (psi.rows(), psi.cols());
+    let mut h_psi = CMatrix::from_vec(np, nb, ws.take_c64(np * nb));
+    h.apply_into(psi, &mut h_psi, ws);
+    let mut hs = CMatrix::from_vec(nb, nb, ws.take_c64(nb * nb));
+    zgemm_dagger_a_into(psi, &h_psi, &mut hs, ws);
+    let eig = zheev(&hs);
+    ws.give_c64(hs.into_data());
+    ws.give_c64(h_psi.into_data());
+    let (vals, v) = eig?;
+    let mut rot = CMatrix::from_vec(np, nb, ws.take_c64(np * nb));
+    zgemm(Complex64::ONE, psi, &v, Complex64::ZERO, &mut rot);
+    psi.data_mut().copy_from_slice(rot.data());
+    ws.give_c64(rot.into_data());
+    Ok(vals)
 }
 
 /// Band-by-band minimisation (the BLAS2 baseline of §3.4): optimises one
@@ -382,7 +396,7 @@ mod tests {
                 dense[(i, g)] = col[i];
             }
         }
-        // Symmetrise tiny numerical asymmetry before Jacobi.
+        // Symmetrise tiny numerical asymmetry before the dense solve.
         let mut sym = CMatrix::zeros(np, np);
         for i in 0..np {
             for j in 0..np {
@@ -496,6 +510,29 @@ mod tests {
         for (w, c) in eps_warm.iter().zip(&eps_cold) {
             assert!(w.to_bits() == c.to_bits(), "band-by-band {w} vs {c}");
         }
+    }
+
+    /// A Rayleigh–Ritz step on converged bands reproduces the Davidson
+    /// Ritz values, leaves the bands orthonormal and hands every buffer it
+    /// borrowed back to the workspace.
+    #[test]
+    fn rayleigh_ritz_recovers_converged_ritz_values() {
+        let b = small_basis();
+        let grid = b.grid();
+        let l = grid.lengths().0;
+        let v = grid.sample(|r| -0.7 * (std::f64::consts::TAU * r.y / l).cos());
+        let h = KsHamiltonian::new(&b, v, None);
+        let mut psi = b.random_bands(4, 29);
+        let report = block_davidson(&h, &mut psi, 100, 1e-9).unwrap();
+        let ws = Workspace::new();
+        let vals = rayleigh_ritz(&h, &mut psi, &ws).unwrap();
+        for (got, want) in vals.iter().zip(&report.eigenvalues) {
+            assert!((got - want).abs() < 1e-10, "{got} vs {want}");
+        }
+        assert!(mqmd_linalg::orthonorm::orthonormality_defect(&psi) < 1e-10);
+        let misses = ws.stats().snapshot().misses;
+        rayleigh_ritz(&h, &mut psi, &ws).unwrap();
+        assert_eq!(ws.stats().snapshot().misses, misses, "buffers returned");
     }
 
     #[test]

@@ -19,17 +19,16 @@
 //! exactly these paths.
 
 use crate::density::{density_into, entropy_term, fermi_occupations};
-use crate::eigensolver::{band_by_band_with, block_davidson_with, EigWorkspace};
+use crate::eigensolver::{band_by_band_with, block_davidson_with, rayleigh_ritz, EigWorkspace};
 use crate::ewald::ewald;
 use crate::hamiltonian::{build_projectors, ionic_local_potential, KsHamiltonian};
 use crate::pw::PlaneWaveBasis;
 use crate::species::Pseudopotential;
 use crate::xc;
-use mqmd_linalg::gemm::{zgemm, zgemm_dagger_a_into};
 use mqmd_linalg::CMatrix;
 use mqmd_multigrid::FftPoisson;
 use mqmd_util::workspace::{self, Workspace};
-use mqmd_util::{events, faults, Complex64, MqmdError, Result, Vec3};
+use mqmd_util::{events, faults, MqmdError, Result, Vec3};
 
 /// SCF algorithm parameters.
 #[derive(Clone, Copy, Debug)]
@@ -391,16 +390,7 @@ pub fn run_scf_with(
                         residual: f64::NAN,
                     }
                 } else {
-                    let (np, nb) = (psi.rows(), psi.cols());
-                    let ws = &sw.eig.ws;
-                    let mut h_psi = CMatrix::from_vec(np, nb, ws.take_c64(np * nb));
-                    h.apply_into(&psi, &mut h_psi, ws);
-                    let mut hs = CMatrix::from_vec(nb, nb, ws.take_c64(nb * nb));
-                    zgemm_dagger_a_into(&psi, &h_psi, &mut hs, ws);
-                    let eig = mqmd_linalg::eigen::zheev(&hs);
-                    ws.give_c64(hs.into_data());
-                    ws.give_c64(h_psi.into_data());
-                    let (vals, v) = match eig {
+                    let vals = match rayleigh_ritz(&h, &mut psi, &sw.eig.ws) {
                         Ok(x) => x,
                         Err(e) => {
                             faults::record_abort(
@@ -411,10 +401,6 @@ pub fn run_scf_with(
                             return Err(e);
                         }
                     };
-                    let mut rot = CMatrix::from_vec(np, nb, ws.take_c64(np * nb));
-                    zgemm(Complex64::ONE, &psi, &v, Complex64::ZERO, &mut rot);
-                    psi.data_mut().copy_from_slice(rot.data());
-                    ws.give_c64(rot.into_data());
                     faults::record_recovery(
                         "scf_ritz_recovery",
                         faults::Site::Scf.describe(),

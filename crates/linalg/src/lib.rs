@@ -16,8 +16,10 @@
 //! * [`gemm`] — blocked, rayon-parallel GEMM and GEMV reference paths;
 //! * [`cholesky`] — real and complex (Hermitian) Cholesky, used for the
 //!   overlap-matrix orthonormalisation of the Kohn–Sham bands (§3.3);
-//! * [`eigen`] — cyclic-Jacobi symmetric/Hermitian eigensolvers for subspace
-//!   (Rayleigh–Ritz) diagonalisation;
+//! * [`eigen`] — Hermitian eigensolver for subspace (Rayleigh–Ritz)
+//!   diagonalisation: Householder tridiagonalisation plus implicit-shift QL
+//!   (LAPACK `zhetrd` + `zsteqr`), with a lowest-`m` variant; a real
+//!   symmetric cyclic-Jacobi `dsyev`;
 //! * [`orthonorm`] — Cholesky-based and modified-Gram–Schmidt band
 //!   orthonormalisation;
 //! * [`triangular`] — forward/backward substitution.
